@@ -425,9 +425,14 @@ pub unsafe fn dcas<T: Links<W>, W: DcasWord>(
 ///
 /// # Safety
 ///
-/// * `old`/`new` must be null or counted references owned by the caller.
+/// * `new` must be null or a counted reference owned by the caller (its
+///   count is incremented up front).
+/// * `old` must be null, a counted reference owned by the caller, **or a
+///   pin-scoped borrowed pointer**, as for [`cas`]: it is identity only,
+///   and on success the reference destroyed is the location's own.
 /// * `word` must be a cell inside an object the caller holds a counted
-///   reference to (or a structure root), so it cannot be freed mid-call.
+///   reference to (or a structure root), so it cannot be freed mid-call;
+///   the same holds for `a` when it is a field of an object.
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn dcas_ptr_word<T: Links<W>, W: DcasWord>(
     a: &PtrField<T, W>,
@@ -469,8 +474,7 @@ pub unsafe fn dcas_ptr_word<T: Links<W>, W: DcasWord>(
 ///
 /// # Safety
 ///
-/// As for [`dcas_ptr_word`], with the expectation side also accepting
-/// pin-scoped references (identity-only).
+/// As for [`dcas_ptr_word`].
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn dcas_ptr_word_retire<T: Links<W>, W: DcasWord>(
     a: &PtrField<T, W>,

@@ -315,6 +315,16 @@ impl<W: DcasWord> KvStore<W> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::RwLock;
+
+    /// The `kv_shard_ops` family is process-global, so a test that counts
+    /// routed ops holds this for writing while every test that routes ops
+    /// holds it for reading.
+    static ROUTED: RwLock<()> = RwLock::new(());
+
+    fn routing() -> std::sync::RwLockReadGuard<'static, ()> {
+        ROUTED.read().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Seeded SplitMix64 stream (the workspace PRNG of record).
     fn splitmix(state: &mut u64) -> u64 {
@@ -342,6 +352,7 @@ mod tests {
 
     #[test]
     fn matches_btreeset_model_across_widths() {
+        let _routing = routing();
         for shards in [1usize, 3, 16] {
             for strategy in Strategy::ALL {
                 let kv: KvStore<McasWord> = KvStore::with_config(KvConfig { shards, strategy });
@@ -383,6 +394,7 @@ mod tests {
 
     #[test]
     fn scan_is_shard_local_and_ordered() {
+        let _routing = routing();
         let kv: Kv = KvStore::new(4);
         for k in 0..2_000u64 {
             kv.put(k);
@@ -400,6 +412,7 @@ mod tests {
 
     #[test]
     fn write_batch_applies_in_order() {
+        let _routing = routing();
         let kv: Kv = KvStore::new(4);
         let applied = kv.write_batch(&[
             KvWrite::Put(1),
@@ -415,6 +428,7 @@ mod tests {
 
     #[test]
     fn batched_writes_under_every_strategy_drain() {
+        let _routing = routing();
         for strategy in Strategy::ALL {
             let kv: KvStore<McasWord> = KvStore::with_config(KvConfig {
                 shards: 4,
@@ -433,6 +447,7 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_writers() {
+        let _routing = routing();
         let kv: Kv = KvStore::new(8);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -455,6 +470,7 @@ mod tests {
 
     #[test]
     fn shard_op_counts_tally_routed_ops() {
+        let _counting = ROUTED.write().unwrap_or_else(|e| e.into_inner());
         let kv: Kv = KvStore::new(2);
         let before: u64 = kv.shard_op_counts().iter().sum();
         for k in 0..100u64 {

@@ -11,10 +11,12 @@
 //! mark govern the whole tower: a node is logically in the set iff it is
 //! reachable at level 0 and unmarked.
 //!
-//! * `insert` — choose a geometric tower height, link level 0 (the
-//!   linearization point), then index the upper levels best-effort;
-//! * `remove` — CAS the mark (linearization point), then best-effort
-//!   unlink at every level (finds help);
+//! * `insert` — one descent, then link level 0 (the linearization
+//!   point) and each upper level from the saved preds, re-descending
+//!   only when a swing fails (Fraser; Herlihy–Shavit);
+//! * `remove` — one descent, CAS the mark (linearization point), then
+//!   unlink each level through the saved preds; if an unlink fails, one
+//!   more descent helps finish it;
 //! * `contains` — top-down descent whose load protocol follows the
 //!   instance [`Strategy`]: the §5.9 deferred fast path (plain loads
 //!   under a pin, rc-validated) for `DeferredDec`, the §5.13
@@ -22,6 +24,13 @@
 //!   validation) for `DeferredInc`, and
 //!   [`contains_counted`](LfrcSkipList::contains_counted) — one
 //!   `LFRCLoad` DCAS per hop — for `Dcas`.
+//!
+//! Writers make one descent per operation, inside one
+//! [`defer::pinned`] scope. Under both fast strategies its hops are
+//! uncounted `load_deferred` reads, validated as in `contains_deferred`,
+//! and a writer promotes only the nodes it links through (DESIGN.md
+//! §5.9, "Writers on the fast path"). Under `Dcas` the same `insert`
+//! and `remove` run over counted `LFRCLoad` hops: the executable spec.
 //!
 //! Under `DeferredInc` every `swing` routes its displaced reference
 //! through the grace-period retire queue
@@ -32,10 +41,15 @@
 //! Garbage stays cycle-free: all tower pointers aim forward (toward
 //! larger keys), so step 3 of the methodology holds untouched.
 
+use std::alloc::Layout;
+use std::cell::RefCell;
 use std::fmt;
+use std::mem::ManuallyDrop;
+use std::ops::Deref;
+use std::ptr::{self, NonNull};
 
-use lfrc_core::defer::{self, Borrowed};
-use lfrc_core::{DcasWord, Heap, Links, Local, PtrField, SharedField, Strategy};
+use lfrc_core::defer::{self, Borrowed, Pin};
+use lfrc_core::{DcasWord, Heap, LfrcBox, Links, Local, PtrField, SharedField, Strategy};
 
 use crate::set::MAX_KEY;
 
@@ -80,10 +94,118 @@ impl<W: DcasWord> fmt::Debug for SkipNode<W> {
 
 impl<W: DcasWord> SkipNode<W> {
     fn new(key: u64, height: usize) -> Self {
+        let layout = Layout::array::<PtrField<SkipNode<W>, W>>(height).expect("tower layout");
+        let recycled = TOWERS
+            .try_with(|t| t.borrow_mut().take(layout))
+            .ok()
+            .flatten();
+        let next = match recycled {
+            Some(buf) => {
+                let fields = buf.cast::<PtrField<SkipNode<W>, W>>().as_ptr();
+                // Safety: `buf` is a released tower buffer allocated with
+                // exactly `layout`, i.e. for `height` fields; each slot is
+                // initialized here before the `Vec` takes it over.
+                unsafe {
+                    for i in 0..height {
+                        fields.add(i).write(PtrField::null());
+                    }
+                    Vec::from_raw_parts(fields, height, height)
+                }
+            }
+            None => (0..height).map(|_| PtrField::null()).collect(),
+        };
         SkipNode {
             key,
             marked: W::new(0),
-            next: (0..height).map(|_| PtrField::null()).collect(),
+            next,
+        }
+    }
+}
+
+/// Hands the tower buffer to the releasing thread's [`TOWERS`] instead of
+/// the allocator. A node is dropped only when its slot is released, after
+/// the grace period, so no reader can still reach the buffer.
+impl<W: DcasWord> Drop for SkipNode<W> {
+    fn drop(&mut self) {
+        let mut tower = ManuallyDrop::new(std::mem::take(&mut self.next));
+        let Ok(layout) = Layout::array::<PtrField<SkipNode<W>, W>>(tower.capacity()) else {
+            return; // unreachable: a tower holds at most MAX_HEIGHT fields
+        };
+        if layout.size() == 0 {
+            return; // nothing was allocated
+        }
+        let buf = NonNull::from(tower.as_mut_slice()).cast::<u8>();
+        // Safety: the fields are dropped once here and never touched again
+        // through `tower`, which is forgotten.
+        unsafe { ptr::drop_in_place(tower.as_mut_slice()) };
+        let kept = TOWERS
+            .try_with(|t| t.borrow_mut().give(layout, buf))
+            .unwrap_or(false);
+        if !kept {
+            // Safety: `buf` was allocated by the global allocator with
+            // `layout` (a `Vec` of this capacity) and is no longer used.
+            unsafe { std::alloc::dealloc(buf.as_ptr(), layout) };
+        }
+    }
+}
+
+/// Most released towers of one size a thread keeps for reuse.
+const TOWER_CACHE: usize = 256;
+
+thread_local! {
+    /// Released tower buffers, reused by this thread's next inserts.
+    ///
+    /// A tower is a global-allocator `Vec`, and the thread that releases
+    /// a dead node is often not the one that built it. glibc returns a
+    /// freed block to the arena it came from, where the releasing
+    /// thread's own inserts cannot reuse it. Under churn, the towers of a
+    /// store built on one thread then drain out of that thread's arena,
+    /// whose pages stay resident around the towers still live, into the
+    /// writers' arenas, which grow. Resident memory then rises with the
+    /// number of writes rather than with the store's size: 5.5% on the
+    /// ledger's `scan_batch_zipf` workload on a 2-vCPU host. Reusing
+    /// released towers on the releasing thread keeps them in place.
+    static TOWERS: RefCell<TowerCache> = RefCell::new(TowerCache::default());
+}
+
+/// Released tower buffers, binned by their allocation layout.
+#[derive(Default)]
+struct TowerCache {
+    bins: Vec<(Layout, Vec<NonNull<u8>>)>,
+}
+
+impl TowerCache {
+    fn take(&mut self, layout: Layout) -> Option<NonNull<u8>> {
+        let (_, bin) = self.bins.iter_mut().find(|(l, _)| *l == layout)?;
+        bin.pop()
+    }
+
+    /// Keeps `buf` unless its bin is full; `false` hands it back.
+    fn give(&mut self, layout: Layout, buf: NonNull<u8>) -> bool {
+        let i = match self.bins.iter().position(|(l, _)| *l == layout) {
+            Some(i) => i,
+            None => {
+                self.bins.push((layout, Vec::new()));
+                self.bins.len() - 1
+            }
+        };
+        let bin = &mut self.bins[i].1;
+        if bin.len() == TOWER_CACHE {
+            return false;
+        }
+        bin.push(buf);
+        true
+    }
+}
+
+impl Drop for TowerCache {
+    fn drop(&mut self) {
+        for (layout, bin) in &self.bins {
+            for buf in bin {
+                // Safety: every cached buffer was allocated with its bin's
+                // layout and is owned by the cache alone.
+                unsafe { std::alloc::dealloc(buf.as_ptr(), *layout) };
+            }
         }
     }
 }
@@ -128,6 +250,74 @@ impl<W: DcasWord> Default for LfrcSkipList<W> {
 }
 
 type NodeRef<W> = Local<SkipNode<W>, W>;
+type NodePtr<W> = *mut LfrcBox<SkipNode<W>, W>;
+
+/// How a writer's descent holds the nodes it passes: a counted `Local`
+/// per hop (the `Dcas` spec, one `LFRCLoad` each) or an uncounted
+/// `Borrowed` per hop (the fast strategies, one plain load each, with
+/// only the nodes a writer links through counted by [`Hop::counted`]).
+trait Hop<'p, W: DcasWord>: Deref<Target = SkipNode<W>> + Clone {
+    /// Reads a link; `None` is null.
+    fn read(field: &PtrField<SkipNode<W>, W>, pin: &'p Pin) -> Option<Self>;
+    /// Whether the node is still live (its count is nonzero).
+    fn alive(&self) -> bool;
+    /// A counted reference, or `None` if the node already died.
+    fn counted(self) -> Option<NodeRef<W>>;
+    /// The node's address (identity only; see DESIGN.md §5.9).
+    fn ptr(&self) -> NodePtr<W>;
+}
+
+impl<'p, W: DcasWord> Hop<'p, W> for NodeRef<W> {
+    fn read(field: &PtrField<SkipNode<W>, W>, _pin: &'p Pin) -> Option<Self> {
+        field.load()
+    }
+
+    fn alive(&self) -> bool {
+        true // the count this reference owns keeps it alive
+    }
+
+    fn counted(self) -> Option<NodeRef<W>> {
+        Some(self)
+    }
+
+    fn ptr(&self) -> NodePtr<W> {
+        Local::as_raw(self)
+    }
+}
+
+impl<'p, W: DcasWord> Hop<'p, W> for Borrowed<'p, SkipNode<W>, W> {
+    fn read(field: &PtrField<SkipNode<W>, W>, pin: &'p Pin) -> Option<Self> {
+        field.load_deferred(pin)
+    }
+
+    fn alive(&self) -> bool {
+        Borrowed::ref_count(self) != 0
+    }
+
+    fn counted(self) -> Option<NodeRef<W>> {
+        Borrowed::promote(&self)
+    }
+
+    fn ptr(&self) -> NodePtr<W> {
+        Borrowed::as_raw(self)
+    }
+}
+
+/// What one descent saw: at every level `l`, `preds[l].key < ekey <=
+/// succs[l].key`, with `succs[l]` read from `preds[l].next[l]`.
+struct Window<H> {
+    preds: [H; MAX_HEIGHT],
+    succs: [H; MAX_HEIGHT],
+}
+
+impl<H> Window<H> {
+    /// The pred and succ at level `l`.
+    fn level(self, l: usize) -> (H, H) {
+        let pred = self.preds.into_iter().nth(l);
+        let succ = self.succs.into_iter().nth(l);
+        (pred.expect("l < MAX_HEIGHT"), succ.expect("l < MAX_HEIGHT"))
+    }
+}
 
 impl<W: DcasWord> LfrcSkipList<W> {
     /// Creates an empty skip list (full-height head and tail sentinels)
@@ -175,163 +365,235 @@ impl<W: DcasWord> LfrcSkipList<W> {
         ((x.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
     }
 
-    /// Swings `pred.next[lvl]` from `curr` to `new` iff `pred` is
+    /// Swings `pred.next[lvl]` from `old` to `new` iff `pred` is
     /// unmarked — the DCAS that replaces per-level pointer marks.
+    ///
+    /// `pred` (whose cells the DCAS writes) and `new` (which gains the
+    /// field's unit) are counted; `old` is identity only, read inside
+    /// the caller's pin (DESIGN.md §5.9, "Writers on the fast path").
     ///
     /// Under [`Strategy::DeferredInc`] the displaced reference is
     /// grace-retired instead of eagerly released: a pinned reader's
-    /// pending `+1` on `curr` may be covered by exactly the field unit
+    /// pending `+1` on `old` may be covered by exactly the field unit
     /// this swing displaces, so the unit must outlive every pin that
     /// could have observed it (§5.13 cover invariant).
-    fn swing(
-        &self,
-        pred: &NodeRef<W>,
-        lvl: usize,
-        curr: Option<&NodeRef<W>>,
-        new: Option<&NodeRef<W>>,
-    ) -> bool {
-        // Safety: `pred` is a counted reference (its cells are alive);
-        // `curr`/`new` are caller-held counted references or null.
+    fn swing(&self, pred: &NodeRef<W>, lvl: usize, old: NodePtr<W>, new: &NodeRef<W>) -> bool {
+        // Safety: `pred` and `new` are counted (so `pred`'s cells are
+        // alive); `old` was read inside the caller's pin, so word
+        // equality is object identity and a success releases the
+        // field's own unit.
         unsafe {
             if self.strategy == Strategy::DeferredInc {
                 lfrc_core::ops::dcas_ptr_word_retire(
                     &pred.next[lvl],
                     &pred.marked,
-                    Local::option_as_raw(curr),
+                    old,
                     0,
-                    Local::option_as_raw(new),
+                    Local::as_raw(new),
                     0,
                 )
             } else {
                 lfrc_core::ops::dcas_ptr_word(
                     &pred.next[lvl],
                     &pred.marked,
-                    Local::option_as_raw(curr),
+                    old,
                     0,
-                    Local::option_as_raw(new),
+                    Local::as_raw(new),
                     0,
                 )
             }
         }
     }
 
-    /// Top-down search: fills `preds`/`succs` per level with
-    /// `preds[l].key < ekey <= succs[l].key`, helping unlink marked nodes
-    /// along the way. Returns `None` and retries internally on conflicts.
-    #[allow(clippy::type_complexity)]
-    fn find(&self, ekey: u64) -> (Vec<NodeRef<W>>, Vec<NodeRef<W>>) {
-        'retry: loop {
-            let head = self.head.load().expect("head sentinel");
-            let mut preds: Vec<NodeRef<W>> = Vec::with_capacity(MAX_HEIGHT);
-            let mut succs: Vec<NodeRef<W>> = Vec::with_capacity(MAX_HEIGHT);
-            let mut pred = head;
-            for lvl in (0..MAX_HEIGHT).rev() {
-                let mut curr = match pred.next[lvl].load() {
-                    Some(c) => c,
-                    None => {
-                        // A partially-linked tower level: treat as tail
-                        // (only possible transiently during inserts).
-                        continue 'retry;
+    /// One top-down descent toward `ekey` (encoded): at every level, the
+    /// last node with key `< ekey` and the first with key `>= ekey`,
+    /// helping unlink marked nodes on the way. A help swing counts its
+    /// pred and succ first.
+    ///
+    /// Returns `None` when the caller must restart: a link read null
+    /// (towers are complete before publication, so a null is a harvested
+    /// field of a dead node), a node the help swing had to count had
+    /// died, or the help swing lost a race.
+    fn find<'p, H: Hop<'p, W>>(&self, ekey: u64, pin: &'p Pin) -> Option<Window<H>> {
+        let mut preds: [Option<H>; MAX_HEIGHT] = Default::default();
+        let mut succs: [Option<H>; MAX_HEIGHT] = Default::default();
+        let mut pred = H::read(&self.head, pin)?;
+        for lvl in (0..MAX_HEIGHT).rev() {
+            let mut curr = H::read(&pred.next[lvl], pin)?;
+            loop {
+                // Help unlink marked nodes at this level.
+                while curr.marked.load() == 1 {
+                    let succ = H::read(&curr.next[lvl], pin)?;
+                    let (p, s) = (pred.clone().counted()?, succ.clone().counted()?);
+                    if !self.swing(&p, lvl, curr.ptr(), &s) {
+                        return None;
                     }
-                };
-                loop {
-                    // Help unlink marked nodes at this level.
-                    while curr.marked.load() == 1 {
-                        let succ = match curr.next[lvl].load() {
-                            Some(s) => s,
-                            None => continue 'retry,
-                        };
-                        if !self.swing(&pred, lvl, Some(&curr), Some(&succ)) {
-                            continue 'retry;
-                        }
-                        curr = succ;
-                    }
-                    if curr.key >= ekey {
-                        break;
-                    }
-                    let next = match curr.next[lvl].load() {
-                        Some(n) => n,
-                        None => continue 'retry,
-                    };
-                    pred = curr;
-                    curr = next;
+                    curr = succ;
                 }
-                preds.push(pred.clone());
-                succs.push(curr);
-                // `pred` carries down to the next level.
+                if curr.key >= ekey {
+                    break;
+                }
+                let next = H::read(&curr.next[lvl], pin)?;
+                pred = curr;
+                curr = next;
             }
-            // Stored top-down; reverse so index = level.
-            preds.reverse();
-            succs.reverse();
-            return (preds, succs);
+            preds[lvl] = Some(pred.clone());
+            succs[lvl] = Some(curr);
+            // `pred` carries down to the next level.
         }
+        Some(Window {
+            preds: preds.map(|p| p.expect("every level visited")),
+            succs: succs.map(|s| s.expect("every level visited")),
+        })
     }
 
     /// Inserts `key`; `false` if already present.
     pub fn insert(&self, key: u64) -> bool {
         let ekey = encode_key(key);
+        defer::pinned(|pin| match self.strategy {
+            Strategy::Dcas => self.insert_in::<NodeRef<W>>(ekey, pin),
+            _ => self.insert_in::<Borrowed<'_, SkipNode<W>, W>>(ekey, pin),
+        })
+    }
+
+    fn insert_in<'p, H: Hop<'p, W>>(&self, ekey: u64, pin: &'p Pin) -> bool {
         let height = self.random_height();
-        loop {
-            let (preds, succs) = self.find(ekey);
-            if succs[0].key == ekey {
-                return false;
-            }
-            let node = self.heap.alloc(SkipNode::new(ekey, height));
-            // Prepare the whole tower before publication.
-            for (lvl, succ) in succs.iter().enumerate().take(height) {
-                node.next[lvl].store(Some(succ));
-            }
-            // Level 0 is the linearization point.
-            if !self.swing(&preds[0], 0, Some(&succs[0]), Some(&node)) {
-                continue; // node drops and is freed; retry from scratch
-            }
-            // Index the upper levels (best-effort; re-find on conflict).
-            for lvl in 1..height {
-                loop {
-                    if node.marked.load() == 1 {
-                        return true; // concurrently removed: stop indexing
-                    }
-                    let (preds, succs) = self.find(ekey);
-                    if succs
-                        .get(lvl)
-                        .map(|s| Local::ptr_eq(s, &node))
-                        .unwrap_or(false)
-                    {
-                        break; // someone (or an earlier pass) linked it
-                    }
-                    // Retarget this level's forward pointer, then link.
-                    // This store may displace an earlier retarget's
-                    // reference eagerly — safe under every strategy:
-                    // `node.next[lvl]` is unreachable to readers until
-                    // the swing below publishes it at this level, so the
-                    // displaced unit covers no pending increment.
-                    node.next[lvl].store(Some(&succs[lvl]));
-                    if self.swing(&preds[lvl], lvl, Some(&succs[lvl]), Some(&node)) {
-                        break;
-                    }
+        let mut node: Option<NodeRef<W>> = None;
+        // The counted pred each level's swing writes, and the succ it
+        // expects (identity; the succ's unit sits in `node.next`).
+        let mut preds: [Option<NodeRef<W>>; MAX_HEIGHT] = Default::default();
+        let mut succs: [NodePtr<W>; MAX_HEIGHT] = [ptr::null_mut(); MAX_HEIGHT];
+        // Level 0 is the linearization point.
+        let node = loop {
+            let Some(Window {
+                preds: ps,
+                succs: ss,
+            }) = self.find::<H>(ekey, pin)
+            else {
+                continue;
+            };
+            if ss[0].key == ekey {
+                if ss[0].alive() {
+                    return false;
                 }
+                continue; // freed under us; re-descend
             }
-            return true;
+            // Allocated once; a retry only retargets its tower, which no
+            // reader can reach before the level-0 swing publishes it.
+            let new = node.get_or_insert_with(|| self.heap.alloc(SkipNode::new(ekey, height)));
+            // Count what this insert links through — each level's pred
+            // and succ — before the linearization point, so a node that
+            // died since the descent just restarts it. The succ's promoted
+            // unit is donated to the tower field.
+            let counted = ps
+                .into_iter()
+                .zip(ss)
+                .take(height)
+                .enumerate()
+                .all(|(l, (p, s))| {
+                    let (Some(p), Some(s)) = (p.counted(), s.counted()) else {
+                        return false;
+                    };
+                    succs[l] = Local::as_raw(&s);
+                    new.next[l].store_consume(s);
+                    preds[l] = Some(p);
+                    true
+                });
+            if counted && self.swing(preds[0].as_ref().expect("counted"), 0, succs[0], new) {
+                break node.take().expect("allocated above");
+            }
+        };
+        // Index the upper levels from the saved window (best-effort);
+        // re-descend only for a level whose swing fails.
+        for l in 1..height {
+            loop {
+                if node.marked.load() == 1 {
+                    return true; // concurrently removed: stop indexing
+                }
+                if self.swing(preds[l].as_ref().expect("counted"), l, succs[l], &node) {
+                    break;
+                }
+                let Some((p, s)) = self.find::<H>(ekey, pin).map(|w| w.level(l)) else {
+                    continue;
+                };
+                if s.ptr() == Local::as_raw(&node) {
+                    break; // already linked at this level
+                }
+                let (Some(p), Some(s)) = (p.counted(), s.counted()) else {
+                    continue;
+                };
+                // Retarget this level's forward pointer from the fresh
+                // window. The store may displace an earlier retarget's
+                // unit eagerly — safe under every strategy: `node.next[l]`
+                // is unreachable to readers until a swing publishes
+                // `node` at this level, so the displaced unit covers no
+                // pending increment.
+                succs[l] = Local::as_raw(&s);
+                node.next[l].store_consume(s);
+                preds[l] = Some(p);
+            }
         }
+        true
     }
 
     /// Removes `key`; `false` if absent.
     pub fn remove(&self, key: u64) -> bool {
         let ekey = encode_key(key);
+        defer::pinned(|pin| match self.strategy {
+            Strategy::Dcas => self.remove_in::<NodeRef<W>>(ekey, pin),
+            _ => self.remove_in::<Borrowed<'_, SkipNode<W>, W>>(ekey, pin),
+        })
+    }
+
+    fn remove_in<'p, H: Hop<'p, W>>(&self, ekey: u64, pin: &'p Pin) -> bool {
         loop {
-            let (_preds, succs) = self.find(ekey);
-            if succs[0].key != ekey {
+            let Some(Window {
+                preds: ps,
+                succs: ss,
+            }) = self.find::<H>(ekey, pin)
+            else {
+                continue;
+            };
+            let victim = &ss[0];
+            if victim.key != ekey {
                 return false;
             }
-            let victim = &succs[0];
+            // The levels the descent saw the victim linked at.
+            let height = ss.iter().take_while(|s| s.ptr() == victim.ptr()).count();
+            // Count the victim's preds — the unlink swings' containers —
+            // before the mark, so a pred that died just restarts.
+            let mut preds: [Option<NodeRef<W>>; MAX_HEIGHT] = Default::default();
+            let counted = ps
+                .into_iter()
+                .zip(&mut preds)
+                .take(height)
+                .all(|(p, slot)| {
+                    *slot = p.counted();
+                    slot.is_some()
+                });
+            if !counted {
+                continue;
+            }
             // Linearization point: the mark.
             if !victim.marked.compare_and_swap(0, 1) {
                 // Another remover got it; re-find to observe the unlink.
                 continue;
             }
-            // Best-effort physical unlink at every level (top-down);
-            // concurrent finds help with whatever we miss.
-            let _ = self.find(ekey);
+            // Unlink top-down through the saved preds. The mark froze the
+            // victim's links, so each successor read now is final; it is
+            // counted because the swing installs it.
+            let unlinked = (0..height).rev().all(|l| {
+                H::read(&victim.next[l], pin)
+                    .and_then(H::counted)
+                    .is_some_and(|succ| {
+                        self.swing(preds[l].as_ref().expect("counted"), l, victim.ptr(), &succ)
+                    })
+            });
+            if !unlinked {
+                // A saved pred moved on: one more descent helps unlink
+                // whatever is left.
+                while self.find::<H>(ekey, pin).is_none() {}
+            }
             return true;
         }
     }

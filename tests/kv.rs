@@ -21,17 +21,29 @@
 //! (`InstrSite::IncSettle`) fires once per batch at pin exit — a thread
 //! dying right there is the worst case for the amortization (a whole
 //! batch's worth of buffered increments in flight at once).
+//!
+//! A second family races two writers over the **same** few keys on one
+//! shard, under every strategy, and checks each key's acknowledged
+//! writes against its final presence. Skip-list writers descend with
+//! borrowed reads and promote what they link through (DESIGN.md §5.9),
+//! so these races must also reach a failed promote and its restart,
+//! and survive a writer crashing at the promote site.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lfrc_repro::core::{Census, McasWord, Strategy};
 use lfrc_repro::kv::{KvConfig, KvStore, KvWrite};
+use lfrc_repro::obs::{Counter, Snapshot};
 use lfrc_sched::{Body, CrashMode, CrashSpec, FaultPlan, InstrSite, Policy, Schedule, Trace};
 
 const THREADS: usize = 2;
+
+/// Serializes the tests that read process-wide obs counters against
+/// every other test in this binary that writes to a skip list.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Settle pending increments, then flush parked decrements — the
 /// teardown order every DeferredInc thread owes (settling may park
@@ -178,6 +190,7 @@ fn assert_round_clean(seed: u64, what: &str, round: &Round) {
 /// dump of the sharded schedule instead.
 #[test]
 fn kv_sweep_explores_5k_distinct_schedules() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let strategy = Strategy::DeferredInc;
     if let Some(seed) = lfrc_sched::seed_from_env() {
         let sharded = kv_race(4, strategy, &Policy::Random(seed), FaultPlan::new());
@@ -224,6 +237,7 @@ fn kv_sweep_explores_5k_distinct_schedules() {
 /// across distinct store instances.
 #[test]
 fn kv_replay_is_bit_identical() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for seed in [5u64, 77, 0xD15C_0B01, 0x5EED_CAFE] {
         let a = kv_race(
             4,
@@ -254,6 +268,7 @@ fn kv_replay_is_bit_identical() {
 /// strategies have fewer yield sites, so fewer seeds cover them).
 #[test]
 fn kv_every_strategy_survives_scheduled_races() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for strategy in Strategy::ALL {
         for seed in 0..40u64 {
             let round = kv_race(4, strategy, &Policy::Random(seed), FaultPlan::new());
@@ -272,6 +287,7 @@ fn kv_every_strategy_survives_scheduled_races() {
 /// a bounded strand.
 #[test]
 fn kv_crash_plans_at_batch_settle_site() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A crashed thread strands at most its in-flight batch: up to 4
     // skip-list nodes (tower + payload) plus the cover units its pinned
     // epoch was holding back.
@@ -312,6 +328,199 @@ fn kv_crash_plans_at_batch_settle_site() {
         assert!(
             fired,
             "no workload reached IncSettle ({mode:?}) — batch-settle coverage lost"
+        );
+    }
+}
+
+/// Keys the same-key sweep races on: few enough that both writers keep
+/// landing on the same nodes, towers and preds.
+const SAME_KEYS: [u64; 3] = [1, 2, 3];
+
+/// Keys present before the racing bodies start.
+const SAME_KEYS_INITIAL: [u64; 2] = [2, 3];
+
+/// Each thread's program over [`SAME_KEYS`]: `true` puts, `false`
+/// deletes. Every key sees both kinds of write from both threads.
+const SAME_KEY_PROGRAMS: [[(bool, u64); 5]; THREADS] = [
+    [(true, 1), (false, 2), (true, 3), (false, 1), (true, 2)],
+    [(false, 3), (true, 1), (true, 2), (false, 1), (false, 2)],
+];
+
+/// Outcome of one scheduled same-key round.
+struct SameKeyRound {
+    trace: Trace,
+    /// Per key of [`SAME_KEYS`]: successful puts minus successful
+    /// deletes, over both threads.
+    net: Vec<i64>,
+    /// Per key: present after the run.
+    present: Vec<bool>,
+    /// `PromoteFail` events during the racing bodies.
+    promote_fails: u64,
+    leaked: u64,
+    rc_on_freed: u64,
+}
+
+/// Two writers racing puts and deletes of the same keys on a 1-shard
+/// store, so every write contends for the same preds, successors and
+/// marks: the case the disjoint-range sweep never reaches.
+fn same_key_race(strategy: Strategy, policy: &Policy, plan: FaultPlan) -> SameKeyRound {
+    let kv: KvStore<McasWord> = KvStore::with_config(KvConfig {
+        shards: 1,
+        strategy,
+    });
+    for k in SAME_KEYS_INITIAL {
+        assert!(kv.put(k));
+    }
+    let net: Vec<AtomicI64> = SAME_KEYS.iter().map(|_| AtomicI64::new(0)).collect();
+    let before = Snapshot::take();
+    let trace = {
+        let (kv, net) = (&kv, &net);
+        let bodies: Vec<Body<'_>> = SAME_KEY_PROGRAMS
+            .iter()
+            .map(|program| {
+                let body: Body<'_> = Box::new(move || {
+                    for &(put, k) in program {
+                        let slot = &net[SAME_KEYS.iter().position(|&s| s == k).unwrap()];
+                        if put && kv.put(k) {
+                            slot.fetch_add(1, Ordering::SeqCst);
+                        } else if !put && kv.delete(k) {
+                            slot.fetch_sub(1, Ordering::SeqCst);
+                        }
+                    }
+                    settle_and_flush();
+                });
+                body
+            })
+            .collect();
+        Schedule::new().faults(plan).run(policy, bodies)
+    };
+    let promote_fails = Snapshot::take().diff(&before).get(Counter::PromoteFail);
+    let present = SAME_KEYS.iter().map(|&k| kv.get(k)).collect();
+    let census = Arc::clone(kv.shard(0).heap().census());
+    drop(kv);
+    settle_and_flush();
+    let leaked = drain_censuses(std::slice::from_ref(&census));
+    SameKeyRound {
+        trace,
+        net: net.iter().map(|n| n.load(Ordering::SeqCst)).collect(),
+        present,
+        promote_fails,
+        leaked,
+        rc_on_freed: census.rc_on_freed(),
+    }
+}
+
+/// Same-key writer races under every strategy: ≥2 000 distinct
+/// schedules under the default `DeferredDec` (whose promotes can fail
+/// and restart the descent), ≥200 each under `Dcas` and `DeferredInc`.
+/// Per key, the acknowledged writes must account for the final
+/// presence: `initially present + successful puts − successful deletes
+/// ∈ {0, 1}` and equal to whether the key is present. Every round must
+/// leave no leak and no rc update on a freed object, and at least one
+/// `DeferredDec` schedule must fail a promote, so the restart path runs.
+///
+/// Holds [`SERIAL`]: the promote-failure tally is a process-wide counter
+/// delta, so no other test in this binary may run skip-list writes
+/// meanwhile.
+#[test]
+fn kv_same_key_writer_races_under_every_strategy() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for (strategy, target) in [
+        (Strategy::DeferredDec, 2_000usize),
+        (Strategy::Dcas, 200),
+        (Strategy::DeferredInc, 200),
+    ] {
+        let mut hashes = HashSet::new();
+        let mut promote_fails = 0u64;
+        let mut seed = 0u64;
+        while hashes.len() < target {
+            assert!(
+                seed < 20 * target as u64,
+                "{strategy}: schedule space saturated at {} distinct schedules",
+                hashes.len()
+            );
+            let round = same_key_race(strategy, &Policy::Random(seed), FaultPlan::new());
+            let what = format!("{strategy} — replay with LFRC_SCHED_SEED={seed}");
+            for (i, &k) in SAME_KEYS.iter().enumerate() {
+                let initial = i64::from(SAME_KEYS_INITIAL.contains(&k));
+                let presence = initial + round.net[i];
+                assert!(
+                    presence == 0 || presence == 1,
+                    "{what}: key {k} acknowledged writes sum to presence {presence}"
+                );
+                assert_eq!(
+                    presence == 1,
+                    round.present[i],
+                    "{what}: key {k} presence disagrees with its acknowledged writes"
+                );
+            }
+            assert_eq!(round.rc_on_freed, 0, "{what}: rc update on freed object");
+            assert_eq!(round.leaked, 0, "{what}: leak after settle+drain");
+            promote_fails += round.promote_fails;
+            hashes.insert(round.trace.hash);
+            seed += 1;
+        }
+        if strategy == Strategy::DeferredDec && lfrc_repro::obs::enabled() {
+            assert!(
+                promote_fails > 0,
+                "no DeferredDec schedule failed a promote — the restart path went unexplored"
+            );
+        }
+        println!(
+            "{strategy}: {} distinct same-key schedules over {seed} seeds, {promote_fails} failed promotes",
+            hashes.len()
+        );
+    }
+}
+
+/// Crash plans at the promote site: a writer dies (stalled until the
+/// run ends, or panicked) between reading a node's count and taking its
+/// own, on every seed and thread of a small sweep. The final key set
+/// cannot be asserted (the dead thread's write may or may not have
+/// landed), so the assertions are safety only: zero rc updates on freed
+/// objects and nothing left live after the drain.
+#[test]
+fn kv_same_key_crash_plans_at_promote_site() {
+    // The leak bound is zero. A crashed writer holds only unwindable
+    // state: promoted `Local`s, its unpublished node, and parked
+    // decrements. Unwinding drops the first two and the dying thread's
+    // exit flush applies the third, so the drain must find nothing live.
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for mode in [CrashMode::Stall, CrashMode::Panic] {
+        let mut fired = 0;
+        for seed in 0..24u64 {
+            for t in 0..THREADS {
+                let plan = FaultPlan::new().crash(CrashSpec {
+                    thread: t,
+                    site: Some(InstrSite::BorrowPromote),
+                    skip: (seed % 4) as u32,
+                    mode,
+                });
+                let round = same_key_race(Strategy::DeferredDec, &Policy::Random(seed), plan);
+                let what = format!("BorrowPromote / {mode:?} / t{t} / seed {seed}");
+                assert_eq!(round.rc_on_freed, 0, "{what}: rc update on freed object");
+                assert_eq!(
+                    round.leaked, 0,
+                    "{what}: the crashed writer stranded live objects"
+                );
+                if let Some(c) = round.trace.crashes.first() {
+                    assert_eq!(
+                        c.site,
+                        InstrSite::BorrowPromote,
+                        "crash fired at the wrong site"
+                    );
+                    assert_eq!(c.mode, mode);
+                    fired += 1;
+                }
+            }
+        }
+        assert!(
+            fired > 0,
+            "no writer reached BorrowPromote ({mode:?}) — promote coverage lost"
+        );
+        println!(
+            "BorrowPromote / {mode:?}: {fired} of {} rounds crashed",
+            24 * THREADS
         );
     }
 }

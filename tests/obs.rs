@@ -10,10 +10,11 @@
 
 use std::sync::Mutex;
 
-use lfrc_repro::core::{DcasWord, Heap, Links, McasWord, PtrField, SharedField};
+use lfrc_repro::core::{DcasWord, Heap, Links, McasWord, PtrField, SharedField, Strategy};
 use lfrc_repro::dcas::mcas::test_support;
 use lfrc_repro::dcas::{set_thread_desc_mode, DescMode};
 use lfrc_repro::harness::{run_ops_recorded, PhaseRecorder, SplitMix64};
+use lfrc_repro::kv::{KvConfig, KvStore};
 use lfrc_repro::obs::hist::{self, Hist, HistSnapshot, Histogram};
 use lfrc_repro::obs::{self, serve_metrics, Counter, Snapshot};
 use lfrc_sched::{Body, Policy, Schedule};
@@ -308,6 +309,50 @@ fn prometheus_export_carries_all_counters() {
             "missing metric lfrc_{}",
             c.name()
         );
+    }
+}
+
+/// The skip-list writer fast path, pinned by counters: sequential puts
+/// then deletes on a 4-shard store. Under both fast strategies a writer
+/// makes one uncounted descent and counts only what it links through —
+/// a pred and a succ per linked level — so it makes no `LFRCLoad` DCAS
+/// at all and about `2 × tower height` promotes per op (mean height 2 at
+/// p = 1/2). `Dcas`, the executable spec, keeps its counted hops.
+#[test]
+fn kv_writers_skip_counted_loads_on_fast_strategies() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    if !obs::enabled() {
+        return;
+    }
+    const KEYS: u64 = 2_000;
+    const MEAN_HEIGHT: f64 = 2.0;
+    for strategy in Strategy::ALL {
+        let kv: KvStore<McasWord> = KvStore::with_config(KvConfig {
+            shards: 4,
+            strategy,
+        });
+        let before = Snapshot::take();
+        for k in 0..KEYS {
+            assert!(kv.put(k), "{strategy}: put {k}");
+        }
+        for k in 0..KEYS {
+            assert!(kv.delete(k), "{strategy}: delete {k}");
+        }
+        let delta = Snapshot::take().diff(&before);
+        let loads = delta.get(Counter::LoadDcasAttempt);
+        let promotes_per_op = delta.get(Counter::PromoteSuccess) as f64 / (2 * KEYS) as f64;
+        if strategy == Strategy::Dcas {
+            assert!(loads > 0, "dcas: the spec's counted hops are gone");
+        } else {
+            assert_eq!(loads, 0, "{strategy}: a writer made counted LFRCLoad hops");
+            assert!(
+                promotes_per_op <= 2.0 * MEAN_HEIGHT + 1.0,
+                "{strategy}: {promotes_per_op:.2} promotes per op — a writer counts more than its links"
+            );
+        }
+        assert!(kv.is_empty());
+        lfrc_repro::core::settle_thread();
+        lfrc_repro::core::flush_thread();
     }
 }
 

@@ -642,6 +642,7 @@ fn deferred_inc_rc_invariant_under_explored_schedules_lock() {
 // Extension structures: ordered set vs BTreeSet, LL/SC stack vs Vec
 // ---------------------------------------------------------------------------
 
+use lfrc_repro::core::Strategy;
 use lfrc_repro::structures::{LfrcOrderedSet, LfrcSkipList, LlscStack};
 
 #[derive(Debug, Clone, Copy)]
@@ -688,22 +689,36 @@ fn ordered_set_matches_btreeset() {
 
 #[test]
 fn skiplist_matches_btreeset() {
-    run_cases("skiplist_matches_btreeset", 0xA00B, |rng| {
-        let ops = set_ops(rng);
-        let set: LfrcSkipList<McasWord> = LfrcSkipList::new();
-        let census = Arc::clone(set.heap().census());
-        let mut model = std::collections::BTreeSet::new();
-        for op in ops {
-            match op {
-                SetOp::Insert(k) => assert_eq!(set.insert(k), model.insert(k)),
-                SetOp::Remove(k) => assert_eq!(set.remove(k), model.remove(&k)),
-                SetOp::Contains(k) => assert_eq!(set.contains(k), model.contains(&k)),
+    for strategy in Strategy::ALL {
+        let label = format!("skiplist_matches_btreeset/{strategy}");
+        run_cases(&label, 0xA00B, |rng| {
+            let ops = set_ops(rng);
+            let set: LfrcSkipList<McasWord> = LfrcSkipList::with_strategy(strategy);
+            let census = Arc::clone(set.heap().census());
+            let mut model = std::collections::BTreeSet::new();
+            for op in ops {
+                match op {
+                    SetOp::Insert(k) => assert_eq!(set.insert(k), model.insert(k)),
+                    SetOp::Remove(k) => assert_eq!(set.remove(k), model.remove(&k)),
+                    SetOp::Contains(k) => assert_eq!(set.contains(k), model.contains(&k)),
+                }
             }
-        }
-        assert_eq!(set.len(), model.len());
-        drop(set);
-        assert_eq!(census.live(), 0, "skip list leaked");
-    });
+            assert_eq!(set.len(), model.len());
+            drop(set);
+            // Settle and drain before the census check, as
+            // `lfrc_skiplist_every_strategy_sequential` does: under
+            // `DeferredInc` a displaced unit is released only after its
+            // grace period.
+            lfrc_repro::core::settle_thread();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while census.live() != 0 && std::time::Instant::now() < deadline {
+                lfrc_repro::core::flush_thread();
+                lfrc_repro::dcas::quiesce();
+                std::thread::yield_now();
+            }
+            assert_eq!(census.live(), 0, "{strategy}: skip list leaked");
+        });
+    }
 }
 
 #[test]
