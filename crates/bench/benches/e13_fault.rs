@@ -70,8 +70,8 @@ fn main() {
 
     // The acceptance-bar path: allocation + destroy churn. With the
     // `inject` feature off this is the production path, bit for bit;
-    // with it on, every pooled/global/descriptor allocation consults
-    // the (empty) thread-local fault plan.
+    // with it on, every pooled/global allocation consults the (empty)
+    // thread-local fault plan.
     {
         let heap: Heap<Leaf, McasWord> = Heap::new();
         let mut g = c.group(format!("e13/alloc[inject={inject}]"));
@@ -91,7 +91,7 @@ fn main() {
         g.bench_function("inert_crash_plan", || {
             tiny_round(FaultPlan::new().crash(CrashSpec {
                 thread: 0,
-                site: Some(InstrSite::DescAlloc), // never reached here
+                site: Some(InstrSite::DequePopBeforeClaim), // never reached here
                 skip: 0,
                 mode: CrashMode::Stall,
             }))

@@ -6,7 +6,7 @@
 //! emulation strategies, under increasing contention.
 //!
 //! * *disjoint*: each thread DCASes its own private pair of cells —
-//!   measures the bare protocol cost (descriptor allocation, helping
+//!   measures the bare protocol cost (descriptor claims, helping
 //!   machinery, epoch pinning vs. striped locking).
 //! * *shared*: every thread DCASes the same two cells — measures conflict
 //!   behaviour (helping and retry vs. lock convoying).
@@ -90,9 +90,9 @@ fn main() {
                 })
             ),
         ]);
-        let cells: Vec<McasWord> = (0..8).map(McasWord::new).collect();
+        let cells: Vec<McasWord> = (0..4).map(McasWord::new).collect();
         t.row([
-            "8-way MCAS, mcas strategy".to_owned(),
+            "4-way MCAS, mcas strategy".to_owned(),
             format!(
                 "{:.1}",
                 ns_per_op(50_000, || {

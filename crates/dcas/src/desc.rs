@@ -1,12 +1,10 @@
-//! Descriptor lifetime modes for the MCAS emulation, and the word packing
-//! used by the immortal mode.
+//! Word packing for the MCAS emulation's immortal descriptors.
 //!
-//! PR 4 took descriptor allocation off the global allocator (slab pool);
-//! Arbel-Raviv & Brown's *Reuse, don't Recycle* (PPoPP 2017 / arXiv
-//! 1708.01797) goes further: descriptors are **immortal**. Each thread
-//! owns a fixed set of MCAS + RDCSS descriptor slots that are *never*
-//! reclaimed; a slot is reused in place for every operation, carrying a
-//! monotone **sequence number** bumped on each reuse. In-word descriptor
+//! Following Arbel-Raviv & Brown's *Reuse, don't Recycle* (PPoPP 2017 /
+//! arXiv 1708.01797), descriptors are **immortal**: each thread owns a
+//! fixed MCAS + RDCSS descriptor slot pair that is *never* reclaimed; a
+//! slot is reused in place for every operation, carrying a monotone
+//! **sequence number** bumped on each reuse. In-word descriptor
 //! references are packed `(slot index, sequence)` instead of raw
 //! pointers, so a helper that loads a stale word detects the reuse by
 //! sequence mismatch and abandons instead of helping a recycled
@@ -15,154 +13,19 @@
 //! read-side win (DESIGN.md §5.13). The full sequence-validation safety
 //! argument is DESIGN.md §5.14.
 //!
-//! The previous lifetimes are kept for ablation (experiment E15):
+//! ```text
+//!  bits 63..16        bits 15..2     bits 1..0
+//! ┌──────────────────┬──────────────┬───────────┐
+//! │ sequence (48 b)  │ slot (14 b)  │ tag       │
+//! └──────────────────┴──────────────┴───────────┘
+//! ```
 //!
-//! | mode       | storage             | reclamation    | helper validation |
-//! |------------|---------------------|----------------|-------------------|
-//! | `Immortal` | per-thread slots    | never          | sequence number   |
-//! | `Pooled`   | slab pool           | epoch-deferred | epoch guarantee   |
-//! | `Boxed`    | global allocator    | epoch-deferred | epoch guarantee   |
-//!
-//! Mode selection mirrors `lfrc_core::Strategy`: a process-global default
-//! (settable once by benches via [`set_default_desc_mode`] /
-//! [`DescMode::from_env`]) plus a thread-local override
-//! ([`set_thread_desc_mode`]) so differential tests can run two modes in
-//! one process without interfering with concurrently-running tests.
-
-use std::cell::Cell;
-use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// How MCAS/RDCSS descriptors are stored, reclaimed, and validated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum DescMode {
-    /// Per-thread immortal sequence-numbered slots (the primary mode):
-    /// zero allocation, zero epoch deferral, helpers validate by seq.
-    Immortal,
-    /// Slab-pool allocation with epoch-deferred retirement (PR 4's
-    /// design, kept for ablation).
-    Pooled,
-    /// Global-allocator `Box` with epoch-deferred retirement (the
-    /// original design, kept for ablation).
-    Boxed,
-}
-
-impl DescMode {
-    /// Every mode, in preference order.
-    pub const ALL: [DescMode; 3] = [DescMode::Immortal, DescMode::Pooled, DescMode::Boxed];
-
-    /// Short stable name, used in env selection and benchmark tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            DescMode::Immortal => "immortal",
-            DescMode::Pooled => "pooled",
-            DescMode::Boxed => "boxed",
-        }
-    }
-
-    /// Parses a mode name as produced by [`DescMode::name`].
-    pub fn parse(s: &str) -> Option<DescMode> {
-        DescMode::ALL.iter().copied().find(|m| m.name() == s)
-    }
-
-    /// Reads `LFRC_DESC_MODE` from the environment; unset means the
-    /// default ([`DescMode::Immortal`]). Panics on a typo rather than
-    /// silently benchmarking the wrong mode.
-    pub fn from_env() -> DescMode {
-        match std::env::var("LFRC_DESC_MODE") {
-            Ok(s) => DescMode::parse(&s).unwrap_or_else(|| {
-                panic!("LFRC_DESC_MODE={s:?} is not one of immortal|pooled|boxed")
-            }),
-            Err(_) => DescMode::Immortal,
-        }
-    }
-
-    fn from_u8(v: u8) -> DescMode {
-        match v {
-            1 => DescMode::Pooled,
-            2 => DescMode::Boxed,
-            _ => DescMode::Immortal,
-        }
-    }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            DescMode::Immortal => 0,
-            DescMode::Pooled => 1,
-            DescMode::Boxed => 2,
-        }
-    }
-}
-
-impl fmt::Display for DescMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Process-global default mode (encoded via `DescMode::as_u8`).
-static DEFAULT_MODE: AtomicU8 = AtomicU8::new(0);
-
-thread_local! {
-    /// Per-thread override: `u8::MAX` means "no override, use the
-    /// global default".
-    static THREAD_MODE: Cell<u8> = const { Cell::new(u8::MAX) };
-}
-
-/// Sets the process-global default descriptor mode. Intended for bench
-/// mains (typically fed from [`DescMode::from_env`]); tests should prefer
-/// the thread-local [`set_thread_desc_mode`] so parallel tests in one
-/// binary cannot perturb each other.
-pub fn set_default_desc_mode(mode: DescMode) {
-    DEFAULT_MODE.store(mode.as_u8(), Ordering::Relaxed);
-}
-
-/// Sets (or with `None` clears) the calling thread's descriptor-mode
-/// override. Scheduled differential tests call this at body start.
-pub fn set_thread_desc_mode(mode: Option<DescMode>) {
-    THREAD_MODE.with(|m| m.set(mode.map_or(u8::MAX, DescMode::as_u8)));
-}
-
-/// The descriptor mode in effect for the calling thread: its override if
-/// set, else the process default. Tolerates TLS teardown (exit-path MCAS
-/// traffic sees the global default).
-#[inline]
-pub fn desc_mode() -> DescMode {
-    let v = THREAD_MODE.try_with(Cell::get).unwrap_or(u8::MAX);
-    if v == u8::MAX {
-        DescMode::from_u8(DEFAULT_MODE.load(Ordering::Relaxed))
-    } else {
-        DescMode::from_u8(v)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Immortal-descriptor word packing
-// ---------------------------------------------------------------------------
-//
-// A Pooled/Boxed descriptor reference in a cell is a tagged raw pointer.
-// An Immortal reference is self-describing instead:
-//
-// ```text
-//  bit 63   bits 62..16        bits 15..2     bits 1..0
-// ┌───────┬──────────────────┬──────────────┬───────────┐
-// │   1   │ sequence (47 b)  │ slot (14 b)  │ tag       │
-// └───────┴──────────────────┴──────────────┴───────────┘
-// ```
-//
-// Bit 63 distinguishes the two encodings: user-space heap pointers never
-// have the top bit set, so a helper can dispatch on it without knowing
-// which mode produced the word. 14 slot bits bound the registry at 16384
-// thread slots (each thread owns exactly one MCAS + one RDCSS slot under
-// a shared index); 47 sequence bits roll over only after ~10^14 reuses
-// of a single slot — and even a rollover collision requires the helper
-// to have stalled across the *entire* wrap, in which case it would help
-// an operation of identical seq whose status CAS is still seq-guarded.
-
-/// Top bit marking a packed immortal descriptor word (as opposed to a
-/// tagged raw pointer).
-pub const IMMORTAL_BIT: u64 = 1 << 63;
+//! 14 slot bits bound the registry at 16384 thread slots (each thread
+//! owns exactly one MCAS + one RDCSS slot under a shared index); 48
+//! sequence bits roll over only after ~10^14 reuses of a single slot —
+//! and even a rollover collision requires the helper to have stalled
+//! across the *entire* wrap, in which case it would help an operation of
+//! identical seq whose status CAS is still seq-guarded.
 
 /// Width of the slot-index field.
 pub const SLOT_BITS: u32 = 14;
@@ -177,8 +40,8 @@ const SLOT_MASK: u64 = (MAX_SLOTS as u64 - 1) << 2;
 /// Bit offset of the sequence field.
 pub const SEQ_SHIFT: u32 = 2 + SLOT_BITS;
 
-/// Mask of the (unshifted) 47-bit sequence field.
-pub const SEQ_MASK: u64 = (1 << (63 - SEQ_SHIFT)) - 1;
+/// Mask of the (unshifted) 48-bit sequence field.
+pub const SEQ_MASK: u64 = (1 << (64 - SEQ_SHIFT)) - 1;
 
 /// Packs an immortal descriptor reference: slot index + sequence + the
 /// 2-bit descriptor tag (`TAG_MCAS`/`TAG_RDCSS`).
@@ -186,14 +49,7 @@ pub const SEQ_MASK: u64 = (1 << (63 - SEQ_SHIFT)) - 1;
 pub fn pack(slot: usize, seq: u64, tag: u64) -> u64 {
     debug_assert!(slot < MAX_SLOTS);
     debug_assert!(tag <= 0b11);
-    IMMORTAL_BIT | ((seq & SEQ_MASK) << SEQ_SHIFT) | ((slot as u64) << 2) | tag
-}
-
-/// Whether a descriptor-tagged word is an immortal reference (vs a raw
-/// pointer from the Pooled/Boxed modes).
-#[inline]
-pub fn is_immortal(word: u64) -> bool {
-    word & IMMORTAL_BIT != 0
+    ((seq & SEQ_MASK) << SEQ_SHIFT) | ((slot as u64) << 2) | tag
 }
 
 /// The slot index of a packed immortal word.
@@ -213,31 +69,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for m in DescMode::ALL {
-            assert_eq!(DescMode::parse(m.name()), Some(m));
-            assert_eq!(m.to_string(), m.name());
-        }
-        assert_eq!(DescMode::parse("nonsense"), None);
-    }
-
-    #[test]
-    fn default_mode_is_immortal() {
-        assert_eq!(
-            DescMode::from_u8(DEFAULT_MODE.load(Ordering::Relaxed)),
-            DescMode::Immortal
-        );
-    }
-
-    #[test]
-    fn thread_override_wins_and_clears() {
-        set_thread_desc_mode(Some(DescMode::Pooled));
-        assert_eq!(desc_mode(), DescMode::Pooled);
-        set_thread_desc_mode(None);
-        assert_eq!(desc_mode(), DescMode::Immortal);
-    }
-
-    #[test]
     fn pack_round_trips_and_is_tag_transparent() {
         for (slot, seq, tag) in [
             (0usize, 0u64, 0b01u64),
@@ -246,23 +77,16 @@ mod tests {
             (7, 0xDEAD_BEEF, 0b10),
         ] {
             let w = pack(slot, seq, tag);
-            assert!(is_immortal(w));
             assert_eq!(w & 0b11, tag, "low tag bits must survive packing");
             assert_eq!(unpack_slot(w), slot);
             assert_eq!(unpack_seq(w), seq & SEQ_MASK);
         }
-        // A raw pointer (heap address) never has bit 63 set.
-        let fake_ptr = 0x7fff_ffff_f000u64 | 0b01;
-        assert!(!is_immortal(fake_ptr));
     }
 
     #[test]
     fn fields_do_not_overlap() {
         let w = pack(MAX_SLOTS - 1, SEQ_MASK, 0b11);
         assert_eq!(w, u64::MAX, "fields must tile the word exactly");
-        assert_eq!(
-            IMMORTAL_BIT | (SEQ_MASK << SEQ_SHIFT) | SLOT_MASK | 0b11,
-            u64::MAX
-        );
+        assert_eq!((SEQ_MASK << SEQ_SHIFT) | SLOT_MASK | 0b11, u64::MAX);
     }
 }

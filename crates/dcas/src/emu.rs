@@ -1,21 +1,13 @@
 //! The emulator's private reclamation domain.
 //!
-//! Two kinds of memory must outlive their logical lifetime inside the
-//! DCAS emulation:
+//! User allocations containing cells must outlive their logical lifetime
+//! inside the DCAS emulation: a failing emulated DCAS (or a lagging
+//! helper) may still *read* a cell inside an object the algorithm has
+//! already freed — exactly the stray read hardware DCAS performs (see the
+//! crate docs). MCAS/RDCSS descriptors need no such care: they live in
+//! immortal per-thread slots that are never freed (DESIGN.md §5.14).
 //!
-//! 1. **Operation descriptors** (MCAS/RDCSS) in the `Pooled`/`Boxed`
-//!    ablation modes: helpers may dereference a heap descriptor found in
-//!    a cell after the owning operation finished. The default
-//!    [`DescMode::Immortal`](crate::DescMode) path never retires
-//!    descriptors at all — its slots live forever and helpers validate a
-//!    packed sequence number instead (DESIGN.md §5.14) — so this epoch
-//!    argument only carries the ablation modes.
-//! 2. **User allocations containing cells**: a failing emulated DCAS (or a
-//!    lagging helper) may still *read* a cell inside an object the
-//!    algorithm has already freed — exactly the stray read hardware DCAS
-//!    performs (see the crate docs).
-//!
-//! Both are retired into one process-wide epoch [`Collector`]
+//! Such objects are retired into one process-wide epoch [`Collector`]
 //! (`lfrc-reclaim`); every emulated operation runs inside a pin guard, so
 //! retired memory is physically freed only once no in-flight operation can
 //! touch it. None of this is visible to the LFRC algorithm above: it calls
@@ -120,8 +112,8 @@ pub unsafe fn retire_fn(data: *mut (), call: unsafe fn(*mut ())) {
     with_guard(|guard| unsafe { guard.defer_fn(data, call) });
 }
 
-/// Counters of the emulator's reclamation domain (descriptors + retired
-/// user objects). Used by the memory experiments to report how much
+/// Counters of the emulator's reclamation domain (retired user objects
+/// and pool slabs). Used by the memory experiments to report how much
 /// physically-unreclaimed memory the emulation itself is holding.
 pub fn emulation_stats() -> StatsSnapshot {
     collector().stats()

@@ -9,8 +9,9 @@
 //!
 //! * [`McasWord`] — the primary, **lock-free** strategy: Harris–Fraser
 //!   style descriptor-based MCAS (RDCSS + MCAS descriptors with helping),
-//!   specialized here to the word-sized cells LFRC needs. Any number of
-//!   locations may be updated atomically; DCAS is the two-location case.
+//!   specialized here to the word-sized cells LFRC needs. Up to
+//!   [`MAX_ENTRIES`] locations may be updated atomically; DCAS is the
+//!   two-location case.
 //! * [`LockWord`] — a striped-ordered-spinlock strategy, used as an
 //!   ablation baseline (experiment E7) and as a differential-testing
 //!   oracle for the MCAS strategy.
@@ -63,19 +64,18 @@ pub mod llsc;
 pub mod locked;
 pub mod mcas;
 
-// The yield-point instrumentation moved down to `lfrc-obs` (the bottom of
-// the crate graph) so that `lfrc-pool` — which this crate allocates its
-// descriptors from — can reach it without a dependency cycle. The
-// historical paths (`lfrc_dcas::instrument::*`, `lfrc_dcas::InstrSite`)
-// remain valid through this re-export.
+// The yield-point instrumentation lives in `lfrc-obs` (the bottom of the
+// crate graph) so that `lfrc-pool`, which sits below this crate, can
+// reach it without a dependency cycle. The historical paths
+// (`lfrc_dcas::instrument::*`, `lfrc_dcas::InstrSite`) remain valid
+// through this re-export.
 pub use lfrc_obs::instrument;
 
-pub use desc::{desc_mode, set_default_desc_mode, set_thread_desc_mode, DescMode};
 pub use emu::{emulation_stats, quiesce, retire_box, retire_fn, set_advance_gate, with_guard};
 pub use instrument::InstrSite;
 pub use llsc::{Linked, LlScCell};
 pub use locked::LockWord;
-pub use mcas::McasWord;
+pub use mcas::{McasWord, MAX_ENTRIES};
 
 /// Largest payload a [`DcasWord`] cell can store: cells reserve the two
 /// low bits of the machine word for descriptor tagging, so payloads are
@@ -133,10 +133,11 @@ pub trait DcasWord: Send + Sync + Sized + 'static {
         }
     }
 
-    /// Multi-location compare-and-swap over an arbitrary set of cells.
+    /// Multi-location compare-and-swap over up to [`MAX_ENTRIES`] cells.
     ///
     /// Cells may be listed in any order; two entries must not target the
-    /// same cell (debug-asserted).
+    /// same cell (debug-asserted). [`McasWord`] panics on a wider call:
+    /// its per-thread descriptor slot holds [`MAX_ENTRIES`] entries.
     fn mcas(ops: &[McasOp<'_, Self>]) -> bool;
 
     /// The paper's DCAS: atomically compare `a` with `a_old` and `b` with

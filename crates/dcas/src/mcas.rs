@@ -6,37 +6,33 @@
 //! atomic the LFRC paper assumes in hardware:
 //!
 //! * An **MCAS descriptor** publishes the whole operation (entries sorted
-//!   by cell address, plus a three-state status word).
+//!   by cell creation order, plus a three-state status word).
 //! * Phase 1 installs the descriptor into each cell via **RDCSS** — a
 //!   restricted double-compare single-swap that atomically checks "is the
 //!   operation still undecided?" while swapping `old → descriptor`. Any
 //!   mismatch decides the operation `Failed`.
 //! * The status CAS (`Undecided → Succeeded/Failed`) is the linearization
 //!   point.
-//! * Phase 2 replaces descriptor pointers with the new (or, on failure,
+//! * Phase 2 replaces descriptor words with the new (or, on failure,
 //!   the old) values.
 //!
 //! Threads that encounter a descriptor *help* the operation to completion
 //! and retry their own — no thread ever waits on another, so every cell
 //! operation is lock-free.
 //!
-//! Descriptor lifetime is governed by [`DescMode`] (see [`crate::desc`]).
-//! The primary mode, `Immortal`, follows Arbel-Raviv & Brown's *Reuse,
-//! don't Recycle*: each thread owns one immortal sequence-numbered MCAS
+//! Descriptors follow Arbel-Raviv & Brown's *Reuse, don't Recycle* (see
+//! [`crate::desc`]): each thread owns one immortal sequence-numbered MCAS
 //! slot and one RDCSS slot, reused in place for every attempt, so the hot
 //! path performs **zero allocation and zero epoch deferral**; helpers
 //! validate the packed sequence on every descriptor access and abandon on
-//! mismatch (DESIGN.md §5.14). The `Pooled` mode (slab pool + epoch
-//! retirement, PR 4) and `Boxed` mode (global allocator + epoch
-//! retirement) are kept for ablation — there, an installer remains pinned
-//! for as long as its descriptor can be reachable from any cell, which
-//! makes helping safe (see DESIGN.md §5.2 for the full argument).
+//! mismatch (DESIGN.md §5.14). A slot holds at most [`MAX_ENTRIES`]
+//! entries, which bounds the arity of [`McasWord::mcas`].
 
 use std::fmt;
 use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::desc::{self, DescMode, MAX_SLOTS, SEQ_MASK};
+use crate::desc::{self, MAX_SLOTS, SEQ_MASK};
 use crate::emu::with_guard;
 use crate::instrument::{yield_point, InstrSite};
 use crate::{DcasWord, McasOp, MAX_PAYLOAD};
@@ -51,13 +47,12 @@ const TAG_RDCSS: u64 = 0b10;
 const UNDECIDED: u64 = 0;
 const SUCCEEDED: u64 = 1;
 const FAILED: u64 = 2;
-/// Immortal slots only: the owner is mid-claim — the sequence has been
-/// bumped but the entry fields are not yet consistent. Helpers observing
-/// this state abandon. Heap-mode status words never hold it.
+/// The owner is mid-claim — the sequence has been bumped but the entry
+/// fields are not yet consistent. Helpers observing this state abandon.
 const CLAIMING: u64 = 3;
 
-/// An immortal slot's status word packs the slot's current sequence with
-/// the operation state: `(seq << 2) | state`. The status CAS that decides
+/// A slot's status word packs the slot's current sequence with the
+/// operation state: `(seq << 2) | state`. The status CAS that decides
 /// an operation therefore compares the sequence *and* the state in one
 /// shot — a helper holding a stale word cannot decide (or corrupt) the
 /// slot's next operation, because its expected status carries the old
@@ -102,156 +97,40 @@ struct Entry {
     new: u64,
 }
 
-/// Entries stored inline in the descriptor up to this arity (DCAS needs
-/// 2; nothing in the workspace exceeds 4), so the descriptor allocation
-/// is the *only* allocation of an MCAS attempt — a `Vec` buffer per
-/// attempt would put a global-allocator round trip back on the hot path
-/// the slab pool exists to clear.
-const INLINE_ENTRIES: usize = 4;
+const EMPTY_ENTRY: Entry = Entry {
+    cell: std::ptr::null(),
+    order: 0,
+    old: 0,
+    new: 0,
+};
 
-/// A fixed inline buffer with a `Vec` spill for arities above
-/// [`INLINE_ENTRIES`].
-enum Entries {
-    Inline {
-        buf: [Entry; INLINE_ENTRIES],
-        len: u8,
-    },
-    Spill(Vec<Entry>),
-}
-
-impl Entries {
-    fn from_sorted(sorted: &[Entry]) -> Self {
-        if sorted.len() <= INLINE_ENTRIES {
-            let mut buf = [Entry {
-                cell: std::ptr::null(),
-                order: 0,
-                old: 0,
-                new: 0,
-            }; INLINE_ENTRIES];
-            buf[..sorted.len()].copy_from_slice(sorted);
-            Entries::Inline {
-                buf,
-                len: sorted.len() as u8,
-            }
-        } else {
-            Entries::Spill(sorted.to_vec())
-        }
-    }
-
-    fn as_slice(&self) -> &[Entry] {
-        match self {
-            Entries::Inline { buf, len } => &buf[..*len as usize],
-            Entries::Spill(v) => v,
-        }
-    }
-}
-
-/// A published multi-word CAS operation.
-struct McasDescriptor {
-    status: AtomicU64,
-    entries: Entries,
-}
-
-// Safety: descriptors are shared across helping threads and retired on a
-// possibly different thread; all mutation goes through atomics.
-unsafe impl Send for McasDescriptor {}
-unsafe impl Sync for McasDescriptor {}
-
-/// A restricted double-compare single-swap: swaps `data` from `old` to the
-/// MCAS descriptor word iff the owning operation is still `Undecided`.
-struct RdcssDescriptor {
-    /// Points at the owning MCAS descriptor's status word.
-    status_location: *const AtomicU64,
-    data: *const AtomicU64,
-    /// Encoded expected value of `data`.
-    old: u64,
-    /// Tagged MCAS descriptor word to install on success.
-    mcas_word: u64,
-}
-
-unsafe impl Send for RdcssDescriptor {}
-unsafe impl Sync for RdcssDescriptor {}
-
-/// Allocates a descriptor from the slab pool when it is enabled — every
-/// MCAS attempt allocates one, so this is the emulator's hottest
-/// allocation site — falling back to the global allocator when the pool
-/// is compiled out or the layout is unsupported. The returned flag
-/// records which allocator owns the memory; pass it back to
-/// [`desc_retire`].
-fn desc_alloc<T>(value: T, use_pool: bool) -> (*mut T, bool) {
-    // A thread killed at this yield point has published nothing yet; one
-    // killed later (after install) leaves a descriptor that only helping
-    // resolves. Fault plans also refuse the pool here to force the Box
-    // fallback mid-schedule.
-    yield_point(InstrSite::DescAlloc);
-    let pool_ok =
-        use_pool && crate::instrument::alloc_allowed(crate::instrument::AllocSite::DescPool);
-    if let Some(raw) = pool_ok
-        .then(|| lfrc_pool::alloc(std::alloc::Layout::new::<T>()))
-        .flatten()
-    {
-        let ptr = raw.as_ptr() as *mut T;
-        // Safety: a fresh pool slot of the requested layout.
-        unsafe { ptr.write(value) };
-        (ptr, true)
-    } else {
-        (Box::into_raw(Box::new(value)), false)
-    }
-}
-
-/// Epoch-retires a descriptor from [`desc_alloc`]. Pool slots go back to
-/// the slab (dropped in place) once the grace period passes; boxed
-/// descriptors take the emulator's usual boxed-retire path.
-///
-/// # Safety
-///
-/// `ptr` must come from `desc_alloc` with the same `pooled` flag, must be
-/// retired exactly once, and must be unreachable to threads that pin
-/// after this call.
-unsafe fn desc_retire<T: Send + 'static>(
-    guard: &lfrc_reclaim::epoch::Guard<'_>,
-    ptr: *mut T,
-    pooled: bool,
-) {
-    unsafe fn release<T>(p: *mut ()) {
-        let ptr = p as *mut T;
-        // Safety: grace period has passed; `ptr` is a pool slot holding a
-        // valid `T`.
-        unsafe {
-            std::ptr::drop_in_place(ptr);
-            lfrc_pool::dealloc(std::ptr::NonNull::new_unchecked(ptr as *mut u8));
-        }
-    }
-    if pooled {
-        // Safety: forwarded caller contract.
-        unsafe { guard.defer_fn(ptr as *mut (), release::<T>) };
-    } else {
-        // Safety: forwarded caller contract.
-        unsafe { guard.defer_destroy(ptr) };
-    }
-}
+/// The widest operation [`McasWord::mcas`] accepts, and so the entry
+/// capacity of every immortal MCAS slot. DCAS needs 2 and nothing in the
+/// workspace exceeds 4; a wider slot costs every attempt, since each one
+/// stages, and each helper snapshot copies, a full `[Entry; MAX_ENTRIES]`.
+pub const MAX_ENTRIES: usize = 4;
 
 // ---------------------------------------------------------------------------
-// Immortal descriptor slots (DescMode::Immortal, DESIGN.md §5.14)
+// Immortal descriptor slots (DESIGN.md §5.14)
 // ---------------------------------------------------------------------------
 
 /// A thread's immortal MCAS descriptor slot. Never deallocated (leaked on
 /// first claim); reused in place for every operation the owning thread
 /// performs. All fields are atomics because helpers read them while the
 /// owner may be rewriting them for the next operation — the seqlock
-/// discipline ([`immortal_mcas_snapshot`]) makes such torn reads
-/// detectable, and atomics make them defined behaviour.
+/// discipline ([`mcas_snapshot`]) makes such torn reads detectable, and
+/// atomics make them defined behaviour.
 struct ImmortalMcas {
     /// `(seq << 2) | state` — see [`pack_status`]. Initialized to
     /// `(0, FAILED)`: sequence 0 is never packed into a published word
     /// (the first claim bumps to 1), so no garbage word can validate
     /// against a fresh slot.
     status: AtomicU64,
-    /// Entry count of the current operation (≤ [`INLINE_ENTRIES`]).
+    /// Entry count of the current operation (≤ [`MAX_ENTRIES`]).
     len: AtomicU64,
-    cells: [AtomicPtr<AtomicU64>; INLINE_ENTRIES],
-    olds: [AtomicU64; INLINE_ENTRIES],
-    news: [AtomicU64; INLINE_ENTRIES],
+    cells: [AtomicPtr<AtomicU64>; MAX_ENTRIES],
+    olds: [AtomicU64; MAX_ENTRIES],
+    news: [AtomicU64; MAX_ENTRIES],
 }
 
 impl ImmortalMcas {
@@ -276,11 +155,8 @@ struct ImmortalRdcss {
     data: AtomicPtr<AtomicU64>,
     /// Encoded expected value of `data`.
     old: AtomicU64,
-    /// Descriptor word (packed or tagged pointer) of the owning MCAS.
+    /// Packed descriptor word of the owning MCAS.
     mcas_word: AtomicU64,
-    /// Status word of the owning MCAS when `mcas_word` is a heap
-    /// descriptor; ignored for immortal owners (dispatch is on the word).
-    status_location: AtomicPtr<AtomicU64>,
 }
 
 impl ImmortalRdcss {
@@ -290,7 +166,6 @@ impl ImmortalRdcss {
             data: AtomicPtr::new(std::ptr::null_mut()),
             old: AtomicU64::new(0),
             mcas_word: AtomicU64::new(0),
-            status_location: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
 }
@@ -321,13 +196,13 @@ fn tables() -> &'static SlotTables {
     })
 }
 
-/// Resolves a published immortal word's MCAS slot. The pointer was
+/// Resolves a published word's MCAS slot. The pointer was
 /// Release-published before the word could reach any cell, and the word
 /// was read from a cell, so the slot is visible and never null.
 #[inline]
 fn mcas_slot(idx: usize) -> &'static ImmortalMcas {
     let p = tables().mcas[idx].load(Ordering::Acquire);
-    debug_assert!(!p.is_null(), "immortal word names an unmaterialized slot");
+    debug_assert!(!p.is_null(), "descriptor word names an unmaterialized slot");
     // Safety: slots are leaked (never freed) once published.
     unsafe { &*p }
 }
@@ -335,7 +210,7 @@ fn mcas_slot(idx: usize) -> &'static ImmortalMcas {
 #[inline]
 fn rdcss_slot(idx: usize) -> &'static ImmortalRdcss {
     let p = tables().rdcss[idx].load(Ordering::Acquire);
-    debug_assert!(!p.is_null(), "immortal word names an unmaterialized slot");
+    debug_assert!(!p.is_null(), "descriptor word names an unmaterialized slot");
     // Safety: as for `mcas_slot`.
     unsafe { &*p }
 }
@@ -409,8 +284,8 @@ fn with_slots<R>(f: impl FnOnce(&ThreadSlots) -> R) -> R {
     }
 }
 
-/// One claim of an immortal MCAS slot: bumps the sequence, rewrites the
-/// entry fields, publishes `(seq, UNDECIDED)`. Returns the new sequence.
+/// One claim of an MCAS slot: bumps the sequence, rewrites the entry
+/// fields, publishes `(seq, UNDECIDED)`. Returns the new sequence.
 ///
 /// The claim is single-writer (the slot's owning thread); concurrent
 /// helpers only CAS the status from a seq-matching `UNDECIDED`, which the
@@ -438,27 +313,18 @@ fn claim_mcas(slot: &ImmortalMcas, entries: &[Entry]) -> u64 {
     seq
 }
 
-/// Seqlock read of an immortal MCAS slot's entries, valid only if the
-/// slot still carries `seq`. `None` means the slot has moved on (or is
-/// mid-claim): the operation the caller's word named is already decided
-/// and fully unlinked, so abandoning is correct — there is nothing left
-/// to help.
-fn immortal_mcas_snapshot(
-    slot: &ImmortalMcas,
-    seq: u64,
-) -> Option<([Entry; INLINE_ENTRIES], usize)> {
+/// Seqlock read of an MCAS slot's entries, valid only if the slot still
+/// carries `seq`. `None` means the slot has moved on (or is mid-claim):
+/// the operation the caller's word named is already decided and fully
+/// unlinked, so abandoning is correct — there is nothing left to help.
+fn mcas_snapshot(slot: &ImmortalMcas, seq: u64) -> Option<([Entry; MAX_ENTRIES], usize)> {
     let s1 = slot.status.load(Ordering::Acquire);
     if status_seq(s1) != seq || status_state(s1) == CLAIMING {
         incr(Counter::DescSeqInvalid);
         return None;
     }
-    let len = (slot.len.load(Ordering::Relaxed) as usize).min(INLINE_ENTRIES);
-    let mut entries = [Entry {
-        cell: std::ptr::null(),
-        order: 0,
-        old: 0,
-        new: 0,
-    }; INLINE_ENTRIES];
+    let len = (slot.len.load(Ordering::Relaxed) as usize).min(MAX_ENTRIES);
+    let mut entries = [EMPTY_ENTRY; MAX_ENTRIES];
     for (i, e) in entries.iter_mut().take(len).enumerate() {
         e.cell = slot.cells[i].load(Ordering::Relaxed);
         e.old = slot.olds[i].load(Ordering::Relaxed);
@@ -475,61 +341,21 @@ fn immortal_mcas_snapshot(
     Some((entries, len))
 }
 
-#[inline]
-unsafe fn mcas_desc<'a>(word: u64) -> &'a McasDescriptor {
-    debug_assert_eq!(word & TAG_MASK, TAG_MCAS);
-    // Safety: callers obtained `word` from a cell while pinned; the
-    // descriptor's installer stays pinned while it is reachable.
-    unsafe { &*((word & !TAG_MASK) as *const McasDescriptor) }
-}
-
-#[inline]
-unsafe fn rdcss_desc<'a>(word: u64) -> &'a RdcssDescriptor {
-    debug_assert_eq!(word & TAG_MASK, TAG_RDCSS);
-    // Safety: as for `mcas_desc`.
-    unsafe { &*((word & !TAG_MASK) as *const RdcssDescriptor) }
-}
-
 /// Whether the MCAS operation named by `mcas_word` is still undecided.
-/// Dispatches on the word's encoding: an immortal owner's status word is
-/// sequence-packed, so "undecided" means *undecided at that sequence* —
-/// a reused slot reads as decided, which is exactly right (the named
-/// operation is over). Mixed modes meet here: a heap-mode RDCSS can own
-/// an immortal MCAS and vice versa.
-fn owner_mcas_undecided(mcas_word: u64, status_location: *const AtomicU64) -> bool {
-    if desc::is_immortal(mcas_word) {
-        let slot = mcas_slot(desc::unpack_slot(mcas_word));
-        slot.status.load(Ordering::SeqCst) == pack_status(desc::unpack_seq(mcas_word), UNDECIDED)
-    } else {
-        // Safety: `status_location` points into the owning heap MCAS
-        // descriptor, alive under the epoch argument of DESIGN.md §5.2.
-        unsafe { &*status_location }.load(Ordering::SeqCst) == UNDECIDED
-    }
+/// The owner's status word is sequence-packed, so "undecided" means
+/// *undecided at that sequence* — a reused slot reads as decided, which
+/// is exactly right (the named operation is over).
+fn owner_mcas_undecided(mcas_word: u64) -> bool {
+    let slot = mcas_slot(desc::unpack_slot(mcas_word));
+    slot.status.load(Ordering::SeqCst) == pack_status(desc::unpack_seq(mcas_word), UNDECIDED)
 }
 
-/// Finishes an RDCSS whose descriptor word was found in a cell: installs
-/// the MCAS word if the operation is still undecided, else rolls back.
-fn rdcss_complete(desc: &RdcssDescriptor, tagged: u64) {
-    let replacement = if owner_mcas_undecided(desc.mcas_word, desc.status_location) {
-        desc.mcas_word
-    } else {
-        desc.old
-    };
-    // Safety: `data` is a cell inside an allocation that cannot be
-    // physically freed while any emulated operation is pinned.
-    let _ = unsafe { &*desc.data }.compare_exchange(
-        tagged,
-        replacement,
-        Ordering::SeqCst,
-        Ordering::SeqCst,
-    );
-}
-
-/// Finishes an RDCSS published as a packed immortal word. Every field
-/// read is guarded by the slot's seqlock: if the owning thread has moved
-/// on to a later RDCSS, this one is already complete (its word left every
-/// cell before the slot could be reused), so abandoning is correct.
-fn rdcss_complete_immortal(tagged: u64) {
+/// Finishes an RDCSS whose packed word was found in a cell: installs the
+/// MCAS word if the operation is still undecided, else rolls back. Every
+/// field read is guarded by the slot's seqlock: if the owning thread has
+/// moved on to a later RDCSS, this one is already complete (its word left
+/// every cell before the slot could be reused), so abandoning is correct.
+fn rdcss_complete(tagged: u64) {
     let slot = rdcss_slot(desc::unpack_slot(tagged));
     let seq = desc::unpack_seq(tagged);
     yield_point(InstrSite::DescHelperValidate);
@@ -543,47 +369,38 @@ fn rdcss_complete_immortal(tagged: u64) {
     let data = slot.data.load(Ordering::Relaxed);
     let old = slot.old.load(Ordering::Relaxed);
     let mcas_word = slot.mcas_word.load(Ordering::Relaxed);
-    let status_location = slot.status_location.load(Ordering::Relaxed);
     fence(Ordering::Acquire);
     if slot.seq.load(Ordering::Relaxed) != s1 {
         incr(Counter::DescSeqInvalid);
         incr(Counter::DescHelpAbandoned);
         return;
     }
-    let replacement = if owner_mcas_undecided(mcas_word, status_location) {
+    let replacement = if owner_mcas_undecided(mcas_word) {
         mcas_word
     } else {
         old
     };
-    // Safety: `data` is a cell alive while pinned (module docs); the CAS
+    // Safety: `data` is a cell inside an allocation that cannot be
+    // physically freed while any emulated operation is pinned; the CAS
     // expects the seq-unique `tagged`, so a stale completer (validated
     // above, then raced by a reuse) can never write into a reused cell.
     let _ =
         unsafe { &*data }.compare_exchange(tagged, replacement, Ordering::SeqCst, Ordering::SeqCst);
 }
 
-/// Dispatches an RDCSS-tagged cell word to the right completion path.
-fn rdcss_complete_any(word: u64) {
-    if desc::is_immortal(word) {
-        rdcss_complete_immortal(word);
-    } else {
-        // Safety: see `rdcss_desc`.
-        rdcss_complete(unsafe { rdcss_desc(word) }, word);
-    }
-}
-
-/// Performs one RDCSS for a phase-1 entry of `mcas_word`'s operation.
+/// Performs one RDCSS for a phase-1 entry of `mcas_word`'s operation,
+/// through the calling thread's RDCSS slot (helpers included).
 ///
 /// Returns the (tagged or encoded) word that decided the outcome:
 /// `entry.old` means the swap logically happened; anything else is the
 /// conflicting content observed.
-fn rdcss(
-    guard: &lfrc_reclaim::epoch::Guard<'_>,
-    status_location: *const AtomicU64,
-    entry: &Entry,
-    mcas_word: u64,
-) -> u64 {
-    // Fast path: peek before claiming/allocating a descriptor.
+///
+/// The slot is safe to reuse as soon as this returns — completion (ours
+/// or a helper's) removed the seq-unique word from the cell, and the
+/// word can never be re-installed (any still-running helper's CAS
+/// expects the old cell content, which is gone).
+fn rdcss(entry: &Entry, mcas_word: u64) -> u64 {
+    // Fast path: peek before claiming a slot.
     // Safety: cell alive while pinned (see module docs).
     let cell = unsafe { &*entry.cell };
     let peek = cell.load(Ordering::SeqCst);
@@ -591,27 +408,6 @@ fn rdcss(
         return peek;
     }
 
-    // The descriptor belongs to the *calling* thread (helpers included),
-    // so its lifetime mode is the caller's — a Pooled-mode helper can
-    // help an Immortal-mode owner's operation and vice versa; the
-    // completion paths dispatch on the word encodings.
-    match desc::desc_mode() {
-        DescMode::Immortal => rdcss_immortal(cell, status_location, entry, mcas_word),
-        mode => rdcss_heap(guard, cell, status_location, entry, mcas_word, mode),
-    }
-}
-
-/// RDCSS with a claimed immortal slot: zero allocation, zero retirement.
-/// The slot is safe to reuse as soon as this returns — completion (ours
-/// or a helper's) removed the seq-unique word from the cell, and the
-/// word can never be re-installed (any still-running helper's CAS
-/// expects the old cell content, which is gone).
-fn rdcss_immortal(
-    cell: &AtomicU64,
-    status_location: *const AtomicU64,
-    entry: &Entry,
-    mcas_word: u64,
-) -> u64 {
     with_slots(|slots| {
         let slot = slots.rdcss;
         let prev = slot.seq.load(Ordering::Relaxed);
@@ -625,8 +421,6 @@ fn rdcss_immortal(
             .store(entry.cell as *mut AtomicU64, Ordering::Relaxed);
         slot.old.store(entry.old, Ordering::Relaxed);
         slot.mcas_word.store(mcas_word, Ordering::Relaxed);
-        slot.status_location
-            .store(status_location as *mut AtomicU64, Ordering::Relaxed);
         yield_point(InstrSite::DescSeqBump);
         slot.seq.store(seq << 1, Ordering::Release);
         let tagged = desc::pack(slots.idx, seq, TAG_RDCSS);
@@ -637,13 +431,13 @@ fn rdcss_immortal(
                     // where a helping thread can observe the half-done
                     // operation.
                     yield_point(InstrSite::RdcssInstalled);
-                    rdcss_complete_immortal(tagged);
+                    rdcss_complete(tagged);
                     break entry.old;
                 }
                 Err(cur) if cur & TAG_MASK == TAG_RDCSS => {
                     // Help the other RDCSS out of the way and retry.
                     incr(Counter::RdcssHelp);
-                    rdcss_complete_any(cur);
+                    rdcss_complete(cur);
                 }
                 Err(cur) => break cur,
             }
@@ -651,70 +445,17 @@ fn rdcss_immortal(
     })
 }
 
-/// RDCSS with a heap descriptor (Pooled/Boxed ablation modes).
-fn rdcss_heap(
-    guard: &lfrc_reclaim::epoch::Guard<'_>,
-    cell: &AtomicU64,
-    status_location: *const AtomicU64,
-    entry: &Entry,
-    mcas_word: u64,
-    mode: DescMode,
-) -> u64 {
-    let (desc, pooled) = desc_alloc(
-        RdcssDescriptor {
-            status_location,
-            data: entry.cell,
-            old: entry.old,
-            mcas_word,
-        },
-        mode == DescMode::Pooled,
-    );
-    // Safety: freshly allocated; shared only via the tagged word below.
-    let tagged = desc as u64 | TAG_RDCSS;
-    let result = loop {
-        match cell.compare_exchange(entry.old, tagged, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => {
-                // Installed but not yet resolved: the exact window where a
-                // helping thread can observe the half-done operation.
-                yield_point(InstrSite::RdcssInstalled);
-                // Now complete (install MCAS word or roll back).
-                rdcss_complete(unsafe { &*desc }, tagged);
-                break entry.old;
-            }
-            Err(cur) if cur & TAG_MASK == TAG_RDCSS => {
-                // Help the other RDCSS out of the way and retry.
-                incr(Counter::RdcssHelp);
-                rdcss_complete_any(cur);
-            }
-            Err(cur) => break cur,
-        }
-    };
-    // The descriptor is no longer installed anywhere (and only this thread
-    // could install it), so it can be retired.
-    // Safety: retired exactly once; unreachable to threads pinning later.
-    unsafe { desc_retire(guard, desc, pooled) };
-    result
-}
-
 /// Runs (or helps) the MCAS published as `tagged` to completion.
-/// Returns whether the operation succeeded (for an abandoned immortal
-/// help, `false` — callers helping a foreign operation ignore the value,
-/// and an owner can never observe its own slot as stale).
-fn mcas_help(guard: &lfrc_reclaim::epoch::Guard<'_>, tagged: u64) -> bool {
-    if desc::is_immortal(tagged) {
-        mcas_help_immortal(guard, tagged)
-    } else {
-        mcas_help_heap(guard, tagged)
-    }
-}
-
-/// Helps an operation published as a packed immortal word. Every access
-/// to the slot is sequence-validated; a stale word (the slot moved on)
-/// is abandoned — the operation it named is decided and fully unlinked,
-/// so there is nothing to help and acting on the slot's *current*
-/// contents would mean helping a recycled operation with the wrong
-/// entries (the signature bug class of immortal descriptors).
-fn mcas_help_immortal(guard: &lfrc_reclaim::epoch::Guard<'_>, tagged: u64) -> bool {
+/// Returns whether the operation succeeded (for an abandoned help,
+/// `false` — callers helping a foreign operation ignore the value, and
+/// an owner can never observe its own slot as stale).
+///
+/// Every access to the slot is sequence-validated; a stale word (the
+/// slot moved on) is abandoned — the operation it named is decided and
+/// fully unlinked, so there is nothing to help and acting on the slot's
+/// *current* contents would mean helping a recycled operation with the
+/// wrong entries (the signature bug class of immortal descriptors).
+fn mcas_help(tagged: u64) -> bool {
     let slot = mcas_slot(desc::unpack_slot(tagged));
     let seq = desc::unpack_seq(tagged);
     yield_point(InstrSite::DescHelperValidate);
@@ -725,14 +466,14 @@ fn mcas_help_immortal(guard: &lfrc_reclaim::epoch::Guard<'_>, tagged: u64) -> bo
         return false;
     }
     if status_state(st) == UNDECIDED {
-        let Some((entries, len)) = immortal_mcas_snapshot(slot, seq) else {
+        let Some((entries, len)) = mcas_snapshot(slot, seq) else {
             incr(Counter::DescHelpAbandoned);
             return false;
         };
         let mut outcome = SUCCEEDED;
         'phase1: for entry in &entries[..len] {
             loop {
-                let seen = rdcss(guard, &slot.status, entry, tagged);
+                let seen = rdcss(entry, tagged);
                 if seen == entry.old || seen == tagged {
                     // Installed (by us or a fellow helper): next entry.
                     break;
@@ -740,7 +481,7 @@ fn mcas_help_immortal(guard: &lfrc_reclaim::epoch::Guard<'_>, tagged: u64) -> bo
                 if seen & TAG_MASK == TAG_MCAS {
                     // A different operation owns this cell: help it first.
                     incr(Counter::McasHelp);
-                    mcas_help(guard, seen);
+                    mcas_help(seen);
                     continue;
                 }
                 // Genuine value mismatch: the whole operation fails.
@@ -771,7 +512,7 @@ fn mcas_help_immortal(guard: &lfrc_reclaim::epoch::Guard<'_>, tagged: u64) -> bo
         return false;
     }
     let succeeded = status_state(st) == SUCCEEDED;
-    let Some((entries, len)) = immortal_mcas_snapshot(slot, seq) else {
+    let Some((entries, len)) = mcas_snapshot(slot, seq) else {
         incr(Counter::DescHelpAbandoned);
         return false;
     };
@@ -790,68 +531,20 @@ fn mcas_help_immortal(guard: &lfrc_reclaim::epoch::Guard<'_>, tagged: u64) -> bo
     succeeded
 }
 
-/// Helps an operation published as a tagged heap-descriptor pointer
-/// (Pooled/Boxed modes) — validity comes from the epoch argument of
-/// DESIGN.md §5.2 instead of sequence checks.
-fn mcas_help_heap(guard: &lfrc_reclaim::epoch::Guard<'_>, tagged: u64) -> bool {
-    // Safety: see `mcas_desc`.
-    let desc = unsafe { mcas_desc(tagged) };
-    if desc.status.load(Ordering::SeqCst) == UNDECIDED {
-        let mut outcome = SUCCEEDED;
-        'phase1: for entry in desc.entries.as_slice() {
-            loop {
-                let seen = rdcss(guard, &desc.status, entry, tagged);
-                if seen == entry.old || seen == tagged {
-                    // Installed (by us or a fellow helper): next entry.
-                    break;
-                }
-                if seen & TAG_MASK == TAG_MCAS {
-                    // A different operation owns this cell: help it first.
-                    incr(Counter::McasHelp);
-                    mcas_help(guard, seen);
-                    continue;
-                }
-                // Genuine value mismatch: the whole operation fails.
-                outcome = FAILED;
-                break 'phase1;
-            }
-        }
-        // Phase 1 is done but the operation is still undecided — the
-        // status CAS below is the linearization point.
-        yield_point(InstrSite::McasBeforeStatusCas);
-        let _ =
-            desc.status
-                .compare_exchange(UNDECIDED, outcome, Ordering::SeqCst, Ordering::SeqCst);
-    }
-    // Phase 2: unlink the descriptor from every cell.
-    let succeeded = desc.status.load(Ordering::SeqCst) == SUCCEEDED;
-    for entry in desc.entries.as_slice() {
-        let replacement = if succeeded { entry.new } else { entry.old };
-        // Safety: cell alive while pinned.
-        let _ = unsafe { &*entry.cell }.compare_exchange(
-            tagged,
-            replacement,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-    }
-    succeeded
-}
-
 /// Resolves a cell to a plain (encoded) value, helping any in-flight
 /// operation it encounters.
-fn word_read(guard: &lfrc_reclaim::epoch::Guard<'_>, word: &AtomicU64) -> u64 {
+fn word_read(word: &AtomicU64) -> u64 {
     loop {
         let w = word.load(Ordering::SeqCst);
         match w & TAG_MASK {
             TAG_VALUE => return w,
             TAG_RDCSS => {
                 incr(Counter::McasDescResolve);
-                rdcss_complete_any(w)
+                rdcss_complete(w)
             }
             TAG_MCAS => {
                 incr(Counter::McasDescResolve);
-                mcas_help(guard, w);
+                mcas_help(w);
             }
             _ => unreachable!("corrupt cell tag"),
         }
@@ -861,7 +554,9 @@ fn word_read(guard: &lfrc_reclaim::epoch::Guard<'_>, word: &AtomicU64) -> u64 {
 /// A DCAS-capable cell backed by the lock-free descriptor MCAS.
 ///
 /// This is the strategy used by all LFRC structures unless a benchmark
-/// explicitly selects [`crate::LockWord`] for ablation.
+/// explicitly selects [`crate::LockWord`] for ablation. Its
+/// [`mcas`](DcasWord::mcas) updates at most [`MAX_ENTRIES`] cells at
+/// once — the capacity of a thread's immortal descriptor slot.
 pub struct McasWord {
     word: AtomicU64,
     /// Creation-order id, used as the global MCAS installation order.
@@ -894,13 +589,13 @@ impl DcasWord for McasWord {
     }
 
     fn load(&self) -> u64 {
-        with_guard(|guard| decode(word_read(guard, &self.word)))
+        with_guard(|_| decode(word_read(&self.word)))
     }
 
     fn store(&self, value: u64) {
         let new = encode(value);
-        with_guard(|guard| loop {
-            let cur = word_read(guard, &self.word);
+        with_guard(|_| loop {
+            let cur = word_read(&self.word);
             if self
                 .word
                 .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
@@ -914,8 +609,8 @@ impl DcasWord for McasWord {
     fn compare_and_swap(&self, old: u64, new: u64) -> bool {
         let old = encode(old);
         let new = encode(new);
-        with_guard(|guard| loop {
-            let cur = word_read(guard, &self.word);
+        with_guard(|_| loop {
+            let cur = word_read(&self.word);
             if cur != old {
                 return false;
             }
@@ -929,31 +624,25 @@ impl DcasWord for McasWord {
         })
     }
 
+    /// # Panics
+    ///
+    /// If `ops` has more than [`MAX_ENTRIES`] entries.
     fn mcas(ops: &[McasOp<'_, Self>]) -> bool {
-        let entry_of = |op: &McasOp<'_, Self>| Entry {
-            cell: &op.cell.word as *const AtomicU64,
-            order: op.cell.order,
-            old: encode(op.old),
-            new: encode(op.new),
-        };
-        // Stage the entries on the stack when they fit inline, so the
-        // descriptor itself is the attempt's only allocation.
-        let mut inline = [Entry {
-            cell: std::ptr::null(),
-            order: 0,
-            old: 0,
-            new: 0,
-        }; INLINE_ENTRIES];
-        let mut spill = Vec::new();
-        let entries: &mut [Entry] = if ops.len() <= INLINE_ENTRIES {
-            for (slot, op) in inline.iter_mut().zip(ops) {
-                *slot = entry_of(op);
-            }
-            &mut inline[..ops.len()]
-        } else {
-            spill.extend(ops.iter().map(entry_of));
-            &mut spill
-        };
+        assert!(
+            ops.len() <= MAX_ENTRIES,
+            "McasWord::mcas takes at most {MAX_ENTRIES} entries, got {}",
+            ops.len()
+        );
+        let mut staged = [EMPTY_ENTRY; MAX_ENTRIES];
+        for (slot, op) in staged.iter_mut().zip(ops) {
+            *slot = Entry {
+                cell: &op.cell.word as *const AtomicU64,
+                order: op.cell.order,
+                old: encode(op.old),
+                new: encode(op.new),
+            };
+        }
+        let entries = &mut staged[..ops.len()];
         // A global installation order prevents livelock between
         // overlapping operations (Harris et al. §4). Creation order is
         // used instead of address order so schedules replay exactly.
@@ -962,39 +651,19 @@ impl DcasWord for McasWord {
             entries.windows(2).all(|w| w[0].cell != w[1].cell),
             "mcas entries must target distinct cells"
         );
-        let mode = desc::desc_mode();
-        with_guard(|guard| {
-            // Immortal mode covers every arity the workspace uses
-            // (≤ INLINE_ENTRIES); wider operations take the pooled heap
-            // path — they already spill a Vec, so the descriptor is not
-            // their only allocation anyway.
-            if mode == DescMode::Immortal && entries.len() <= INLINE_ENTRIES {
-                return with_slots(|slots| {
-                    let seq = claim_mcas(slots.mcas, entries);
-                    let tagged = desc::pack(slots.idx, seq, TAG_MCAS);
-                    // No retirement: the slot is reusable the moment the
-                    // owning help call returns — phase 2 removed the
-                    // seq-unique word from every cell, and any helper
-                    // still holding it validates (and abandons) before
-                    // touching the slot's next life.
-                    mcas_help(guard, tagged)
-                });
-            }
-            let (desc, pooled) = desc_alloc(
-                McasDescriptor {
-                    status: AtomicU64::new(UNDECIDED),
-                    entries: Entries::from_sorted(entries),
-                },
-                mode != DescMode::Boxed,
-            );
-            let tagged = desc as u64 | TAG_MCAS;
-            let ok = mcas_help(guard, tagged);
-            // By the time the owning help call returns, every helper that
-            // could re-install the descriptor is itself still pinned, so
-            // epoch retirement is safe (DESIGN.md §5.2).
-            // Safety: retired exactly once, by the owner.
-            unsafe { desc_retire(guard, desc, pooled) };
-            ok
+        // The pin is not for the descriptors (they are never freed): it
+        // keeps every cell this operation or one it helps may still read
+        // on mapped memory, even after the cell's object is retired.
+        with_guard(|_| {
+            with_slots(|slots| {
+                let seq = claim_mcas(slots.mcas, entries);
+                // No retirement: the slot is reusable the moment the
+                // owning help call returns — phase 2 removed the
+                // seq-unique word from every cell, and any helper still
+                // holding it validates (and abandons) before touching
+                // the slot's next life.
+                mcas_help(desc::pack(slots.idx, seq, TAG_MCAS))
+            })
         })
     }
 
@@ -1040,7 +709,7 @@ pub mod test_support {
 
     /// The real, sequence-validated help path, exactly as helpers run it.
     pub fn validated_help(word: u64) -> bool {
-        with_guard(|guard| mcas_help(guard, word))
+        with_guard(|_| mcas_help(word))
     }
 
     /// Adopts a *free* slot index and proves it is still usable: claims
@@ -1384,22 +1053,23 @@ mod tests {
     }
 
     #[test]
-    fn ablation_modes_have_identical_semantics() {
-        for mode in [DescMode::Pooled, DescMode::Boxed] {
-            desc::set_thread_desc_mode(Some(mode));
-            let a = McasWord::new(1);
-            let b = McasWord::new(2);
-            assert!(McasWord::dcas(&a, &b, 1, 2, 10, 20));
-            assert!(!McasWord::dcas(&a, &b, 1, 2, 0, 0));
-            assert_eq!(a.load(), 10);
-            assert_eq!(b.load(), 20);
-            desc::set_thread_desc_mode(None);
-        }
+    #[should_panic(expected = "at most 4 entries")]
+    fn mcas_rejects_more_than_max_entries() {
+        let cells: Vec<McasWord> = (0..5).map(McasWord::new).collect();
+        let ops: Vec<McasOp<'_, McasWord>> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| McasOp {
+                cell: c,
+                old: i as u64,
+                new: i as u64,
+            })
+            .collect();
+        McasWord::mcas(&ops);
     }
 
     #[test]
     fn stale_immortal_word_is_abandoned_not_helped() {
-        desc::set_thread_desc_mode(Some(DescMode::Immortal));
         let a = McasWord::new(0);
         let b = McasWord::new(0);
         assert!(McasWord::dcas(&a, &b, 0, 0, 1, 1));
@@ -1412,7 +1082,6 @@ mod tests {
         assert!(!test_support::validated_help(stale));
         assert_eq!(a.load(), 2);
         assert_eq!(b.load(), 2);
-        desc::set_thread_desc_mode(None);
     }
 
     #[test]
@@ -1421,7 +1090,6 @@ mod tests {
         // operation is in its published-but-undecided window, a stale
         // helper that skips sequence validation fails it spuriously. The
         // window is entered here by claiming without running help.
-        desc::set_thread_desc_mode(Some(DescMode::Immortal));
         let a = McasWord::new(0);
         let b = McasWord::new(0);
         assert!(McasWord::dcas(&a, &b, 0, 0, 1, 1));
@@ -1457,14 +1125,12 @@ mod tests {
             pack_status(seq, FAILED),
             "naive help corrupted the reused slot"
         );
-        // Unwind the damage so the slot's next claim starts clean: the
-        // claimed op never installed anything, so nothing to unlink.
-        desc::set_thread_desc_mode(None);
+        // The claimed op never installed anything and is now decided, so
+        // the slot's next claim starts clean.
     }
 
     #[test]
     fn immortal_attempts_do_not_allocate_or_defer() {
-        desc::set_thread_desc_mode(Some(DescMode::Immortal));
         let a = McasWord::new(0);
         let b = McasWord::new(0);
         // Warm up: first touch materializes the thread's slots.
@@ -1483,6 +1149,5 @@ mod tests {
                 "every immortal attempt must reuse the slot"
             );
         }
-        desc::set_thread_desc_mode(None);
     }
 }

@@ -15,8 +15,8 @@
 //! This module lives in `lfrc-obs` — the bottom of the crate graph — so
 //! that *every* instrumented crate (`lfrc-dcas`, `lfrc-core`,
 //! `lfrc-deque`, `lfrc-pool`) can reach it without dependency cycles:
-//! the pool sits below the DCAS emulation (which allocates descriptors
-//! from it) yet still needs its own yield sites. The dependency arrow
+//! the pool sits below the DCAS emulation (which epoch-defers the pool's
+//! slab retirement) yet still needs its own yield sites. The dependency arrow
 //! points from the tool to the code under test, never back; `lfrc-dcas`
 //! re-exports this module under its historical path
 //! (`lfrc_dcas::instrument`), so call sites are unchanged.
@@ -92,11 +92,6 @@ pub enum InstrSite {
     /// physical deallocation has not yet been epoch-deferred — the window
     /// the one-epoch retirement lag exists to protect.
     PoolSlabRetire,
-    /// MCAS/RDCSS: a descriptor is about to be allocated (pool or Box
-    /// fallback). A thread that dies here has published nothing; a thread
-    /// that dies just *after* leaves a descriptor only helping can
-    /// resolve — both halves of the paper's "failed thread" story.
-    DescAlloc,
     /// Deferred-increment counted load (`Strategy::DeferredInc`): the
     /// plain pointer read has happened but the pending increment has not
     /// yet been appended — the widest version of the CAS-only gap of §1,
@@ -135,8 +130,9 @@ pub enum InstrSite {
 }
 
 impl InstrSite {
-    /// Small stable tag, mixed into schedule trace hashes.
-    pub fn tag(self) -> u64 {
+    /// Small stable tag, mixed into schedule trace hashes. A retired
+    /// site's tag is never reused, so the sequence may have gaps.
+    pub const fn tag(self) -> u64 {
         match self {
             InstrSite::LoadDcasWindow => 1,
             InstrSite::DestroyDecrement => 2,
@@ -155,7 +151,6 @@ impl InstrSite {
             InstrSite::PoolMagazineHit => 15,
             InstrSite::PoolRemoteFree => 16,
             InstrSite::PoolSlabRetire => 17,
-            InstrSite::DescAlloc => 18,
             InstrSite::IncLoad => 19,
             InstrSite::IncAppend => 20,
             InstrSite::IncSettle => 21,
@@ -186,7 +181,6 @@ impl InstrSite {
             InstrSite::PoolMagazineHit => "pool-magazine-hit",
             InstrSite::PoolRemoteFree => "pool-remote-free",
             InstrSite::PoolSlabRetire => "pool-slab-retire",
-            InstrSite::DescAlloc => "desc-alloc",
             InstrSite::IncLoad => "inc-load",
             InstrSite::IncAppend => "inc-append",
             InstrSite::IncSettle => "inc-settle",
@@ -199,7 +193,7 @@ impl InstrSite {
 
     /// Every instrumented site, in tag order. Fault-injection sweeps
     /// iterate this to prove each site is actually reachable.
-    pub const ALL: [InstrSite; 25] = [
+    pub const ALL: [InstrSite; 24] = [
         InstrSite::LoadDcasWindow,
         InstrSite::DestroyDecrement,
         InstrSite::RdcssInstalled,
@@ -217,7 +211,6 @@ impl InstrSite {
         InstrSite::PoolMagazineHit,
         InstrSite::PoolRemoteFree,
         InstrSite::PoolSlabRetire,
-        InstrSite::DescAlloc,
         InstrSite::IncLoad,
         InstrSite::IncAppend,
         InstrSite::IncSettle,
@@ -226,6 +219,10 @@ impl InstrSite {
         InstrSite::DescSeqBump,
         InstrSite::DescHelperValidate,
     ];
+
+    /// The largest [`tag`](Self::tag) (`ALL` is in tag order). Per-site
+    /// tables indexed by `tag - 1` are sized by this, not by `ALL.len()`.
+    pub const MAX_TAG: u64 = Self::ALL[Self::ALL.len() - 1].tag();
 
     /// Whether this site fires from inside the slab pool.
     ///
@@ -301,9 +298,6 @@ pub enum AllocSite {
     /// as a clean `Err` from the fallible `Heap::try_alloc` path (the
     /// infallible `Heap::alloc` would abort, as `Box::new` does).
     HeapGlobal,
-    /// `desc_alloc` asking the slab pool for an MCAS/RDCSS descriptor.
-    /// Refusal exercises the descriptor Box fallback.
-    DescPool,
     /// The slab pool's refill cold path (magazine miss). Refusal makes
     /// `lfrc_pool::alloc` return `None`, which every caller must treat
     /// as "fall back to the global allocator".
@@ -311,20 +305,22 @@ pub enum AllocSite {
 }
 
 impl AllocSite {
-    /// Every alloc-fault site; OOM sweeps iterate this.
-    pub const ALL: [AllocSite; 4] = [
+    /// Every alloc-fault site, in tag order; OOM sweeps iterate this.
+    pub const ALL: [AllocSite; 3] = [
         AllocSite::HeapPooled,
         AllocSite::HeapGlobal,
-        AllocSite::DescPool,
         AllocSite::PoolRefill,
     ];
 
-    /// Small stable tag, mixed into schedule trace hashes.
-    pub fn tag(self) -> u64 {
+    /// The largest [`tag`](Self::tag); see [`InstrSite::MAX_TAG`].
+    pub const MAX_TAG: u64 = Self::ALL[Self::ALL.len() - 1].tag();
+
+    /// Small stable tag, mixed into schedule trace hashes. A retired
+    /// site's tag is never reused, so the sequence may have gaps.
+    pub const fn tag(self) -> u64 {
         match self {
             AllocSite::HeapPooled => 1,
             AllocSite::HeapGlobal => 2,
-            AllocSite::DescPool => 3,
             AllocSite::PoolRefill => 4,
         }
     }
@@ -334,7 +330,6 @@ impl AllocSite {
         match self {
             AllocSite::HeapPooled => "heap-pooled",
             AllocSite::HeapGlobal => "heap-global",
-            AllocSite::DescPool => "desc-pool",
             AllocSite::PoolRefill => "pool-refill",
         }
     }
@@ -429,19 +424,23 @@ mod tests {
 
     #[test]
     fn tags_are_unique() {
-        let mut tags: Vec<u64> = InstrSite::ALL.iter().map(|s| s.tag()).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), InstrSite::ALL.len());
-        assert_eq!(tags, (1..=InstrSite::ALL.len() as u64).collect::<Vec<_>>());
+        let tags: Vec<u64> = InstrSite::ALL.iter().map(|s| s.tag()).collect();
+        assert!(
+            tags.windows(2).all(|w| w[0] < w[1]),
+            "ALL must list sites in strictly increasing tag order: {tags:?}"
+        );
+        assert_eq!(tags.first(), Some(&1));
+        assert_eq!(tags.last(), Some(&InstrSite::MAX_TAG));
     }
 
     #[test]
     fn alloc_tags_are_unique() {
-        let mut tags: Vec<u64> = AllocSite::ALL.iter().map(|s| s.tag()).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), AllocSite::ALL.len());
+        let tags: Vec<u64> = AllocSite::ALL.iter().map(|s| s.tag()).collect();
+        assert!(
+            tags.windows(2).all(|w| w[0] < w[1]),
+            "ALL must list sites in strictly increasing tag order: {tags:?}"
+        );
+        assert_eq!(tags.last(), Some(&AllocSite::MAX_TAG));
     }
 
     #[test]
@@ -454,6 +453,6 @@ mod tests {
             !alloc_faults_compiled()
         );
         set_thread_alloc_hook(None);
-        assert!(alloc_allowed(AllocSite::DescPool));
+        assert!(alloc_allowed(AllocSite::PoolRefill));
     }
 }

@@ -1,13 +1,10 @@
-//! An epoch-gated slab allocator for LFRC nodes and DCAS descriptors.
+//! An epoch-gated slab allocator for LFRC nodes.
 //!
 //! The LFRC protocol allocates and frees constantly: every counted object
-//! is a heap node, and every emulated DCAS/MCAS attempt in the `Pooled`
-//! ablation mode allocates a descriptor here (the default
-//! `DescMode::Immortal` reuses per-thread immortal slots and never touches
-//! this pool — the descriptor size class stays for the ablation). Routing
-//! node and descriptor traffic through the global allocator makes `malloc`
-//! the dominant cost of the whole reproduction. This crate replaces it
-//! with a purpose-built pool shaped by the protocol's reclamation rules:
+//! is a heap node. Routing node traffic through the global allocator
+//! makes `malloc` the dominant cost of the whole reproduction. This crate
+//! replaces it with a purpose-built pool shaped by the protocol's
+//! reclamation rules:
 //!
 //! * **Size-class slabs.** Requests are rounded up to a multiple of
 //!   64 bytes (up to [`MAX_ALLOC`]) and served from 64 KiB slabs aligned

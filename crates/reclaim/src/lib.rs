@@ -19,7 +19,8 @@
 //!   worst case in experiment E3.
 //!
 //! The [`epoch`] module is additionally used *inside* the software-DCAS
-//! emulator (`lfrc-dcas`) to recycle operation descriptors. That use is an
+//! emulator (`lfrc-dcas`) to keep freed objects that contain DCAS cells
+//! mapped while an emulated operation may still read them. That use is an
 //! artifact of emulating the paper's hardware DCAS in software — a real
 //! `CAS2` instruction allocates nothing — and is documented as such in
 //! DESIGN.md §2.

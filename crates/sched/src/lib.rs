@@ -553,7 +553,7 @@ fn worker(
         .collect();
     if !my_ooms.is_empty() {
         let oom_shared = Arc::clone(&shared);
-        let mut visits = [0u32; AllocSite::ALL.len()];
+        let mut visits = [0u32; AllocSite::MAX_TAG as usize];
         instrument::set_thread_alloc_hook(Some(Box::new(move |site| {
             let idx = (site.tag() - 1) as usize;
             let v = visits[idx];
@@ -587,7 +587,7 @@ fn worker(
         .collect();
     let hook_shared = Arc::clone(&shared);
     let mut crashed = false;
-    let mut site_visits = [0u32; InstrSite::ALL.len()];
+    let mut site_visits = [0u32; InstrSite::MAX_TAG as usize];
     let mut total_visits = 0u32;
     instrument::set_thread_hook(Some(Box::new(move |site| {
         if crashed || (site.is_pool() && !pool_sites) {

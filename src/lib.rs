@@ -21,9 +21,8 @@
 //! * [`obs`] — sharded protocol counters, flight recorder, and
 //!   snapshot exporters (no-ops unless the default `obs` feature is on);
 //! * [`pool`] — the epoch-gated slab allocator with per-thread magazines
-//!   that backs LFRC nodes and MCAS descriptors (DESIGN.md §5.11;
-//!   allocations fall back to the global allocator unless the default
-//!   `pool` feature is on).
+//!   that backs LFRC nodes (DESIGN.md §5.11; allocations fall back to
+//!   the global allocator unless the default `pool` feature is on).
 //!
 //! See README.md for a guided tour and `examples/` for runnable entry
 //! points (start with `cargo run --release --example quickstart`).

@@ -15,8 +15,8 @@
 //!   within the bound derivable from what the dead thread could hold.
 //! * **OOM sweep** (`--features inject`) — every [`AllocSite`] is
 //!   refused in turn; pooled allocation must fall back to the global
-//!   allocator, descriptor allocation to `Box`, and a total refusal must
-//!   surface as a clean `Err` from `Heap::try_alloc`, never a crash.
+//!   allocator, and a total refusal must surface as a clean `Err` from
+//!   `Heap::try_alloc`, never a crash.
 //! * **Shrinker regression** — a seeded, known-failing schedule (the
 //!   naive CAS-only load racing a swinging store, E5's defect) is
 //!   delta-debugged to a locally-minimal decision list that replays
@@ -31,7 +31,6 @@ use lfrc_repro::core::{
     flush_thread, settle_thread, DcasWord, Heap, IncLocal, Links, LockWord, McasWord, PtrField,
     SharedField,
 };
-use lfrc_repro::dcas::{set_thread_desc_mode, DescMode};
 use lfrc_repro::deque::{ConcurrentDeque, LfrcSnarkRepaired};
 #[cfg(feature = "inject")]
 use lfrc_repro::pool;
@@ -140,19 +139,6 @@ fn crash_sweep(
 /// link — every other count is released by the crash unwind (stack
 /// `Local`s drop) or the dying thread's buffer flush.
 fn core_round<W: DcasWord>(policy: &Policy, plan: FaultPlan) -> Observed {
-    core_round_in_mode::<W>(None, policy, plan)
-}
-
-/// [`core_round`] with every scheduled body pinned to a descriptor
-/// lifetime mode. The desc-site sweep needs Immortal traffic (claim and
-/// helper-validate windows) and Pooled traffic (the `DescAlloc` window)
-/// on demand, independent of the process default and of whatever other
-/// tests in this binary are doing.
-fn core_round_in_mode<W: DcasWord>(
-    mode: Option<DescMode>,
-    policy: &Policy,
-    plan: FaultPlan,
-) -> Observed {
     let heap: Heap<Node<W>, W> = Heap::new();
     let census = Arc::clone(heap.census());
     let trace;
@@ -167,7 +153,6 @@ fn core_round_in_mode<W: DcasWord>(
             let bodies: Vec<Body<'_>> = (0..3u64)
                 .map(|t| {
                     let body: Body<'_> = Box::new(move || {
-                        set_thread_desc_mode(mode);
                         let mut held = Vec::new();
                         for i in 0..3u64 {
                             let f = &shared[(t + i) as usize % 2];
@@ -223,12 +208,10 @@ fn crash_sweep_core_sites() {
 // Crash sweep, group 7: the descriptor lifetime windows
 // ---------------------------------------------------------------------------
 
-/// The descriptor-mode windows, each under the mode that reaches it: the
-/// immortal claim/seq-bump/helper-validate sites fire on every
-/// Immortal-mode MCAS, the `DescAlloc` site only when an ablation mode
-/// actually allocates a descriptor. A thread dying in a claim window
-/// holds exactly what a thread dying at `DescAlloc` held before this PR
-/// (the operation's stack references), so the leak bound is unchanged.
+/// The immortal descriptor windows: the claim, seq-bump and
+/// helper-validate sites fire on every MCAS. A thread dying in a claim
+/// window holds only the operation's stack references, so the leak bound
+/// is the core group's.
 #[test]
 fn crash_sweep_desc_sites() {
     crash_sweep(
@@ -240,11 +223,8 @@ fn crash_sweep_desc_sites() {
         3,
         24,
         6,
-        |p, plan| core_round_in_mode::<McasWord>(Some(DescMode::Immortal), p, plan),
+        core_round::<McasWord>,
     );
-    crash_sweep(&[InstrSite::DescAlloc], 3, 24, 6, |p, plan| {
-        core_round_in_mode::<McasWord>(Some(DescMode::Pooled), p, plan)
-    });
 }
 
 /// A Stall crash *inside the claim window* must not strand the slot: the
@@ -268,7 +248,6 @@ fn stall_in_claim_window_strands_no_descriptor() {
         let trace = {
             let (a, b, idx) = (&a, &b, &idx);
             let body: Body<'_> = Box::new(move || {
-                set_thread_desc_mode(Some(DescMode::Immortal));
                 idx.store(test_support::current_slot_index(), Ordering::SeqCst);
                 let _ = McasWord::dcas(a, b, 0, 0, 1, 1);
             });
@@ -639,7 +618,6 @@ fn sweep_groups_cover_every_site() {
         InstrSite::IncSettle,
         InstrSite::IncRetire,
         // group 7 (descriptor lifetime)
-        InstrSite::DescAlloc,
         InstrSite::DescClaim,
         InstrSite::DescSeqBump,
         InstrSite::DescHelperValidate,
@@ -739,41 +717,10 @@ mod oom {
         assert_eq!(census.rc_on_freed(), 0);
     }
 
-    /// MCAS descriptor pool refused → `desc_alloc` falls back to `Box`
-    /// and the DCAS still linearizes correctly. Pinned to the Pooled
-    /// ablation mode: the Immortal default never consults the pool at
-    /// all (see `immortal_descriptors_never_consult_alloc_sites`).
-    #[test]
-    fn desc_pool_oom_uses_box_fallback() {
-        let heap: Heap<Node<McasWord>, McasWord> = Heap::new();
-        let census = Arc::clone(heap.census());
-        let shared: SharedField<Node<McasWord>, McasWord> = SharedField::null();
-        let trace = {
-            let (heap, shared) = (&heap, &shared);
-            let body: Body<'_> = Box::new(move || {
-                set_thread_desc_mode(Some(DescMode::Pooled));
-                for i in 0..4 {
-                    let fresh = heap.alloc(node(i));
-                    shared.store(Some(&fresh));
-                    drop(fresh);
-                    drop(shared.load().expect("just stored"));
-                }
-                shared.store(None);
-            });
-            Schedule::new()
-                .faults(refuse_forever(AllocSite::DescPool))
-                .run(&Policy::Random(0), vec![body])
-        };
-        flush_thread();
-        assert!(trace.oom_refusals >= 1, "descriptor pool never consulted");
-        assert_eq!(census.live(), 0);
-        assert_eq!(census.rc_on_freed(), 0);
-    }
-
-    /// The Immortal mode's acceptance claim, under total allocation
-    /// refusal: with **every** instrumented allocation site refused
-    /// forever, Immortal-mode MCAS traffic completes without tripping a
-    /// single refusal — the attempt path consults no allocation site.
+    /// The immortal descriptors' acceptance claim, under total
+    /// allocation refusal: with **every** instrumented allocation site
+    /// refused forever, MCAS traffic completes without tripping a single
+    /// refusal — the attempt path consults no allocation site.
     #[test]
     fn immortal_descriptors_never_consult_alloc_sites() {
         let a = McasWord::new(0);
@@ -789,7 +736,6 @@ mod oom {
         let trace = {
             let (a, b) = (&a, &b);
             let body: Body<'_> = Box::new(move || {
-                set_thread_desc_mode(Some(DescMode::Immortal));
                 for i in 0..8u64 {
                     assert!(McasWord::dcas(a, b, i, i, i + 1, i + 1));
                 }
@@ -911,16 +857,6 @@ fn explore_and_ship(name: &str, seeds: u64, round: impl Fn(&Policy) -> Observed)
 fn deep_exploration_core_mcas() {
     explore_and_ship("deep-core-mcas", deep_seeds(), |p| {
         core_round::<McasWord>(p, FaultPlan::new())
-    });
-}
-
-/// `deep_exploration_core_mcas` runs the Immortal default; this pins the
-/// same workload to the Pooled ablation so the deep sweep keeps covering
-/// the epoch-deferred descriptor lifetime too.
-#[test]
-fn deep_exploration_core_mcas_pooled() {
-    explore_and_ship("deep-core-mcas-pooled", deep_seeds(), |p| {
-        core_round_in_mode::<McasWord>(Some(DescMode::Pooled), p, FaultPlan::new())
     });
 }
 

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 
 use lfrc_repro::core::{DcasWord, Heap, Links, McasWord, PtrField, SharedField, Strategy};
 use lfrc_repro::dcas::mcas::test_support;
-use lfrc_repro::dcas::{set_thread_desc_mode, DescMode};
+use lfrc_repro::dcas::{McasOp, MAX_ENTRIES};
 use lfrc_repro::harness::{run_ops_recorded, PhaseRecorder, SplitMix64};
 use lfrc_repro::kv::{KvConfig, KvStore};
 use lfrc_repro::obs::hist::{self, Hist, HistSnapshot, Histogram};
@@ -181,7 +181,6 @@ fn mcas_help_and_desc_counters_flow_into_exports() {
 
     // Deterministic: immortal slot reuse, then a helper holding a word
     // across the reuse, which must abandon (seq invalid + abandoned).
-    set_thread_desc_mode(Some(DescMode::Immortal));
     let a = McasWord::new(0);
     let b = McasWord::new(0);
     for i in 0..8 {
@@ -190,7 +189,6 @@ fn mcas_help_and_desc_counters_flow_into_exports() {
     let stale = test_support::thread_mcas_word();
     assert!(McasWord::dcas(&a, &b, 8, 8, 9, 9));
     assert!(!test_support::validated_help(stale));
-    set_thread_desc_mode(None);
 
     // Contended: two MCAS racers over the same cells plus a reader;
     // a schedule that parks one racer inside its installed operation
@@ -256,46 +254,62 @@ fn mcas_help_and_desc_counters_flow_into_exports() {
     }
 }
 
-/// The Immortal mode's acceptance criterion (ISSUE 7), counter edition:
-/// after warmup, a window of immortal MCAS attempts performs zero epoch
+/// The immortal descriptors' acceptance criterion, counter edition:
+/// after warmup, a window of MCAS attempts performs zero epoch
 /// deferrals and zero slab-pool consultations — each attempt reuses the
-/// thread's slots in place. (`--features inject` proves the
+/// thread's slots in place — both for DCAS and at the widest supported
+/// arity ([`MAX_ENTRIES`] cells). (`--features inject` proves the
 /// no-global-allocator half from the other side: refusing every alloc
 /// site records zero refusals — see `fault.rs`.)
 #[test]
 fn immortal_mcas_attempts_allocate_and_defer_nothing() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    set_thread_desc_mode(Some(DescMode::Immortal));
     let a = McasWord::new(0);
     let b = McasWord::new(0);
+    let cells: [McasWord; MAX_ENTRIES] = std::array::from_fn(|_| McasWord::new(0));
+    let wide = |i: u64| -> [McasOp<'_, McasWord>; MAX_ENTRIES] {
+        std::array::from_fn(|k| McasOp {
+            cell: &cells[k],
+            old: i,
+            new: i + 1,
+        })
+    };
     // Warmup: materialize this thread's slots and drain earlier garbage
-    // so the measured window is the steady state.
+    // so the measured windows are the steady state.
     assert!(McasWord::dcas(&a, &b, 0, 0, 1, 1));
+    assert!(McasWord::mcas(&wide(0)));
     lfrc_repro::core::flush_thread();
     lfrc_repro::dcas::quiesce();
 
     const N: u64 = 64;
-    let before = Snapshot::take();
-    for i in 0..N {
-        assert!(McasWord::dcas(&a, &b, i + 1, i + 1, i + 2, i + 2));
-    }
-    let delta = Snapshot::take().diff(&before);
-    set_thread_desc_mode(None);
-    if obs::enabled() {
-        assert!(
-            delta.get(Counter::DescImmortalReuse) >= N,
-            "the window was not running on reused immortal slots"
-        );
-        assert_eq!(
-            delta.get(Counter::EpochRetired),
-            0,
-            "an immortal MCAS attempt deferred a descriptor to the epoch machinery"
-        );
-        assert_eq!(
-            delta.get(Counter::PoolMagazineHit) + delta.get(Counter::PoolMagazineMiss),
-            0,
-            "an immortal MCAS attempt consulted the slab pool"
-        );
+    let windows: [(&str, &dyn Fn(u64) -> bool); 2] = [
+        ("dcas", &|i| {
+            McasWord::dcas(&a, &b, i + 1, i + 1, i + 2, i + 2)
+        }),
+        ("mcas-4", &|i| McasWord::mcas(&wide(i + 1))),
+    ];
+    for (what, attempt) in windows {
+        let before = Snapshot::take();
+        for i in 0..N {
+            assert!(attempt(i), "{what}: attempt {i} failed uncontended");
+        }
+        let delta = Snapshot::take().diff(&before);
+        if obs::enabled() {
+            assert!(
+                delta.get(Counter::DescImmortalReuse) >= N,
+                "{what}: the window was not running on reused immortal slots"
+            );
+            assert_eq!(
+                delta.get(Counter::EpochRetired),
+                0,
+                "{what}: an MCAS attempt deferred a descriptor to the epoch machinery"
+            );
+            assert_eq!(
+                delta.get(Counter::PoolMagazineHit) + delta.get(Counter::PoolMagazineMiss),
+                0,
+                "{what}: an MCAS attempt consulted the slab pool"
+            );
+        }
     }
 }
 

@@ -68,9 +68,9 @@ impl Links<McasWord> for ShrinkNode {
 
 /// Explores cooperative schedules with the pool's yield sites opted in
 /// (`Schedule::pool_sites`): one thread churns a full slab through
-/// carve → free → magazine flush → retirement while another reads a
-/// shared field whose loads allocate MCAS descriptors from the same
-/// pool. Across seeds, all three pool sites must be reached and no
+/// carve → free → magazine flush → retirement while another loads a
+/// shared field whose node comes from the same size class. Across
+/// seeds, all three pool sites must be reached and no
 /// interleaving may touch a freed object's reference count.
 #[test]
 fn explored_schedules_cover_pool_sites_without_canary_hits() {
