@@ -1,16 +1,14 @@
 //! Bench companion to experiment E14 (load-strategy head-to-head):
-//! `Dcas` vs `DeferredDec` (borrowed) vs `DeferredInc` counted loads.
+//! `Dcas` counted loads vs `DeferredDec` borrowed loads.
 //!
 //! Three layers of measurement:
 //!
 //! 1. Minibench micro-costs — 128 root loads per iteration through each
-//!    strategy's read primitive (the paper's DCAS counted load, the
-//!    pin-scoped uncounted borrow, and the pin-scoped deferred-increment
-//!    counted load).
-//! 2. A manual ns/load table for the same three primitives with the
-//!    `DeferredInc/Borrowed` ratio — the ISSUE acceptance bar is a
-//!    DeferredInc counted load within **2×** of the uncounted borrow.
-//! 3. A multi-thread stack push/pop throughput sweep across the three
+//!    strategy's read primitive (the paper's DCAS counted load and the
+//!    pin-scoped uncounted borrow).
+//! 2. A manual ns/load table for the same two primitives with the
+//!    `dcas / deferred-dec` ratio.
+//! 3. A multi-thread stack push/pop throughput sweep across both
 //!    strategies (via [`LfrcStack::with_strategy`]), plus one row for
 //!    the env-selected root strategy (`LFRC_STRATEGY`, read through
 //!    [`Strategy::from_env`]). Results are recorded in
@@ -35,8 +33,8 @@ impl Links<McasWord> for Leaf {
     fn for_each_link(&self, _f: &mut dyn FnMut(&PtrField<Self, McasWord>)) {}
 }
 
-/// Loads per pin: enough to amortize the pin entry/exit and the
-/// settle-gate transitions over the thing actually being measured.
+/// Loads per pin: enough to amortize the pin entry/exit over the thing
+/// actually being measured.
 const LOADS_PER_PIN: u64 = 128;
 
 /// Measures one strategy's root-load primitive directly: `reps`
@@ -51,7 +49,6 @@ fn ns_per_load(root: &SharedField<Leaf, McasWord>, strategy: Strategy, reps: u64
         one_batch(root, strategy);
     }
     let elapsed = start.elapsed();
-    lfrc_core::settle_thread();
     defer::flush_thread();
     elapsed.as_nanos() as f64 / (reps * LOADS_PER_PIN) as f64
 }
@@ -66,11 +63,6 @@ fn one_batch(root: &SharedField<Leaf, McasWord>, strategy: Strategy) {
         Strategy::DeferredDec => defer::pinned(|pin| {
             for _ in 0..LOADS_PER_PIN {
                 black_box(root.load_deferred(pin));
-            }
-        }),
-        Strategy::DeferredInc => defer::pinned(|pin| {
-            for _ in 0..LOADS_PER_PIN {
-                black_box(root.load_counted_inc(pin));
             }
         }),
     }
@@ -95,10 +87,8 @@ fn stack_mops(st: &LfrcStack<McasWord>, threads: usize, window: Duration) -> f64
                             ops += 2;
                         }
                     }
-                    // Scoped workers settle pending increments and flush
-                    // parked decrements before the scope returns (see
-                    // lfrc_core::inc / lfrc_core::defer).
-                    lfrc_core::settle_thread();
+                    // Scoped workers flush parked decrements before the
+                    // scope returns (see lfrc_core::defer).
                     defer::flush_thread();
                     ops
                 })
@@ -120,33 +110,26 @@ fn main() {
     let root: SharedField<Leaf, McasWord> = SharedField::new(Some(&leaf));
     drop(leaf);
 
-    // Layer 1: the raw load primitive, all three strategies, 128 loads
-    // per iteration (pinned variants amortize the pin over the batch).
+    // Layer 1: the raw load primitive, both strategies, 128 loads per
+    // iteration (the pinned variant amortizes the pin over the batch).
     {
         let mut g = c.group("e14/root_load_x128");
-        g.bench_function("dcas", || one_batch(&root, Strategy::Dcas));
-        g.bench_function("borrowed", || one_batch(&root, Strategy::DeferredDec));
-        g.bench_function("deferred-inc", || one_batch(&root, Strategy::DeferredInc));
+        for strategy in Strategy::ALL {
+            g.bench_function(strategy.name(), || one_batch(&root, strategy));
+        }
         g.finish();
     }
 
-    // Layer 2: ns/load and the acceptance ratio (DeferredInc ≤ 2× the
-    // uncounted borrow).
+    // Layer 2: ns/load and the spec-to-fast-path ratio.
     const REPS: u64 = 20_000;
     let dcas = ns_per_load(&root, Strategy::Dcas, REPS);
-    let borrowed = ns_per_load(&root, Strategy::DeferredDec, REPS);
-    let inc = ns_per_load(&root, Strategy::DeferredInc, REPS);
+    let dec = ns_per_load(&root, Strategy::DeferredDec, REPS);
     println!();
     println!("e14 root-load cost ({LOADS_PER_PIN} loads/pin, {REPS} reps)");
     println!("{:>14} {:>12}", "strategy", "ns/load");
-    println!("{:>14} {dcas:>12.2}", "dcas");
-    println!("{:>14} {borrowed:>12.2}", "borrowed");
-    println!("{:>14} {inc:>12.2}", "deferred-inc");
-    println!(
-        "deferred-inc / borrowed ratio: {:.2}x (acceptance bar: <= 2.00x)",
-        inc / borrowed
-    );
-    println!("deferred-inc / dcas ratio:     {:.2}x", inc / dcas);
+    println!("{:>14} {dcas:>12.2}", Strategy::Dcas.name());
+    println!("{:>14} {dec:>12.2}", Strategy::DeferredDec.name());
+    println!("dcas / deferred-dec ratio: {:.2}x", dcas / dec);
 
     // Layer 3: whole-structure throughput, per-strategy, plus the
     // env-selected root strategy for bench parity with LFRC_STRATEGY.
@@ -163,7 +146,6 @@ fn main() {
             let mops = stack_mops(&st, threads, window);
             println!("{threads:>8} {:>14} {mops:>12.2}", strategy.name());
             while st.pop().is_some() {}
-            lfrc_core::settle_thread();
             defer::flush_thread();
         }
     }

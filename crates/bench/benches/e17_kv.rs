@@ -10,8 +10,7 @@
 //!    acceptance bar is the 16-shard store beating single-shard on the
 //!    skewed read-heavy mix.
 //! 2. **Batch size vs. write cost** — `write_batch` applies its writes
-//!    inside one `defer::pinned` scope, so pin entry/exit (and under
-//!    `DeferredInc` the settle and its advance-gate release) amortize
+//!    inside one `defer::pinned` scope, so pin entry/exit amortizes
 //!    across the batch (DESIGN.md §5.16).
 //!
 //! ```text
@@ -130,7 +129,6 @@ fn mixed_soak(kv: &KvStore<McasWord>, streams: &[Vec<KvOp>]) -> SoakReport {
 
 fn teardown(kv: KvStore<McasWord>) {
     drop(kv);
-    lfrc_core::settle_thread();
     defer::flush_thread();
 }
 
@@ -272,8 +270,8 @@ fn main() {
         find(&uni, 16) / find(&uni, 1)
     );
 
-    // Question 2: write cost vs. batch size (one pin + one settle per
-    // batch, amortized over the writes inside it), per strategy.
+    // Question 2: write cost vs. batch size (one pin per batch,
+    // amortized over the writes inside it), per strategy.
     println!();
     const BATCH_WRITES: u64 = 32_768;
     println!("e17 batch amortization: {BATCH_WRITES} puts then deletes per cell, 4 shards");

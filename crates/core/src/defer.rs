@@ -235,31 +235,6 @@ pub fn pending() -> usize {
     BUFFER.with(|b| b.borrow().entries.len())
 }
 
-/// Older name for [`pending`], kept for the PR 2 call sites and tests.
-pub fn pending_decrements() -> usize {
-    pending()
-}
-
-/// Removes one parked decrement for the object `p`, if any, handing its
-/// count unit to the caller. Used by
-/// [`IncLocal::promote`](crate::inc::IncLocal::promote) to annihilate a
-/// pending increment against a pending decrement on the same object —
-/// the pair cancels with no count traffic at all. Entries for the same
-/// object are fungible (each owns exactly one unit), so removing the
-/// most recent match is always correct.
-pub(crate) fn take_parked_decrement(p: *mut ()) -> bool {
-    BUFFER.with(|b| {
-        let mut buf = b.borrow_mut();
-        match buf.entries.iter().rposition(|e| e.ptr == p) {
-            Some(i) => {
-                buf.entries.swap_remove(i);
-                true
-            }
-            None => false,
-        }
-    })
-}
-
 /// Witness that the calling thread is pinned in the reclamation epoch.
 ///
 /// Only [`pinned`] creates one; holding `&Pin` proves freed-but-borrowed
@@ -285,12 +260,6 @@ impl fmt::Debug for Pin {
 /// escaping the scope.
 pub fn pinned<R>(f: impl FnOnce(&Pin) -> R) -> R {
     lfrc_dcas::with_guard(|_guard| {
-        // The settle guard bounds every pending increment (`crate::inc`)
-        // to its pinning epoch: when the outermost scope exits — normal
-        // return or panic unwind, in either case still inside the guard —
-        // any increments not already resolved by their `IncLocal`s are
-        // settled before the pin is released.
-        let _settle = crate::inc::SettleGuard::enter();
         let pin = Pin {
             _not_send: PhantomData,
         };
@@ -461,13 +430,13 @@ mod tests {
             next: PtrField::null(),
         });
         flush_thread(); // isolate from other tests on this thread
-        let base = pending_decrements();
+        let base = pending();
         defer_destroy(a);
-        assert_eq!(pending_decrements(), base + 1);
+        assert_eq!(pending(), base + 1);
         // The count is parked, not released: still live.
         assert_eq!(heap.census().live(), 1);
         flush_thread();
-        assert_eq!(pending_decrements(), 0);
+        assert_eq!(pending(), 0);
         assert_eq!(heap.census().live(), 0);
     }
 
@@ -482,7 +451,7 @@ mod tests {
             }));
         }
         // The FLUSH_THRESHOLD-th append flushed the whole batch.
-        assert_eq!(pending_decrements(), 0);
+        assert_eq!(pending(), 0);
         assert_eq!(heap.census().live(), 0);
     }
 
@@ -622,7 +591,7 @@ mod tls_exit_tests {
             s.spawn(|| {
                 let a = heap.alloc(Leaf { n: 1 });
                 defer_destroy(a);
-                assert_eq!(pending_decrements(), 1);
+                assert_eq!(pending(), 1);
             });
         });
         // `scope` returns when the closure finishes, which can be *before*

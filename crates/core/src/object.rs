@@ -210,54 +210,6 @@ impl<T: Links<W>, W: DcasWord> PtrField<T, W> {
         }
     }
 
-    /// The deferred-**increment** counted load (DESIGN.md §5.13): one
-    /// plain load plus one thread-local pending-increment append — no
-    /// DCAS, no CAS, no shared-count traffic — returning a pin-scoped
-    /// [`IncLocal`](crate::inc::IncLocal) whose `+1` is settled before
-    /// the pin ends. Only sound on fields of a structure whose every
-    /// displacing release is grace-deferred
-    /// ([`Strategy::DeferredInc`](crate::Strategy::DeferredInc)); see
-    /// [`crate::inc`] for the cover-unit argument.
-    pub fn load_counted_inc<'p>(
-        &self,
-        pin: &'p crate::defer::Pin,
-    ) -> Option<crate::inc::IncLocal<'p, T, W>> {
-        // Safety: the object containing `self` is alive (caller holds it
-        // counted/pending-counted, or it is a root); `pin` witnesses the
-        // epoch guard, and the `Strategy::DeferredInc` requirement is the
-        // caller's (structure author's) obligation, restated on the
-        // method docs.
-        unsafe {
-            let p = crate::ops::load_inc(self);
-            crate::inc::IncLocal::from_raw(p, pin)
-        }
-    }
-
-    /// `LFRCCAS` for the deferred-increment strategy: like
-    /// [`PtrField::compare_and_set`], but `expected` is a pin-scoped
-    /// [`IncLocal`](crate::inc::IncLocal) (identity-only, its pending
-    /// count stays put) and a successful swap releases the displaced
-    /// reference through a **grace-deferred** destroy
-    /// ([`crate::inc::retire_destroy_raw`]) — the property
-    /// `Strategy::DeferredInc` readers rely on. `new` still pays its
-    /// count ([`IncLocal::promote`](crate::inc::IncLocal::promote)
-    /// first when installing a loaded reference).
-    pub fn compare_and_set_inc(
-        &self,
-        expected: Option<&crate::inc::IncLocal<'_, T, W>>,
-        new: Option<&Local<T, W>>,
-    ) -> bool {
-        // Safety: `new` is a live counted reference (or null);
-        // `expected` is identity-only, which `ops::cas_inc` permits.
-        unsafe {
-            crate::ops::cas_inc(
-                self,
-                crate::inc::IncLocal::option_as_raw(expected),
-                Local::option_as_ptr(new),
-            )
-        }
-    }
-
     /// `LFRCCAS` with a **borrowed** expectation: like
     /// [`PtrField::compare_and_set`], but `expected` is a pin-scoped
     /// [`Borrowed`] instead of a counted [`Local`] — the deferred fast

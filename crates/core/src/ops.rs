@@ -150,79 +150,6 @@ pub unsafe fn load_deferred<T: Links<W>, W: DcasWord>(a: &PtrField<T, W>) -> *mu
     word_to_ptr(a.raw().load())
 }
 
-/// The deferred-**increment** strategy's counted read (DESIGN.md §5.13):
-/// one plain load of the field — the caller records the pending `+1` in
-/// the thread's increment buffer by wrapping the result in an
-/// [`IncLocal`](crate::inc::IncLocal). Compare [`load`]'s DCAS loop and
-/// [`load_deferred`]'s uncounted read; this is the load half of a
-/// counted load whose count half is deferred.
-///
-/// The safe wrapper is
-/// [`PtrField::load_counted_inc`](crate::PtrField::load_counted_inc).
-///
-/// # Safety
-///
-/// * The object containing `a` must be alive for the duration (as for
-///   [`load`]).
-/// * The caller must hold the emulator's epoch pin for the lifetime of
-///   the returned pointer **and** `a` must belong to a structure whose
-///   every displacing release is grace-deferred
-///   ([`Strategy::DeferredInc`](crate::Strategy::DeferredInc)): that is
-///   the cover-unit argument (`crate::inc`) under which the referent is
-///   alive — not merely mapped — until the pin ends.
-pub unsafe fn load_inc<T: Links<W>, W: DcasWord>(a: &PtrField<T, W>) -> *mut LfrcBox<T, W> {
-    // A plain read whose count is pending — the window the differential
-    // harness explores hardest.
-    lfrc_dcas::instrument::yield_point(lfrc_dcas::InstrSite::IncLoad);
-    // Counter only — no flight-recorder event: hot path, same budget as
-    // `load_deferred`.
-    lfrc_obs::counters::incr(lfrc_obs::Counter::LoadDeferred);
-    word_to_ptr(a.raw().load())
-}
-
-/// [`cas`] for the deferred-increment strategy (DESIGN.md §5.13):
-/// identical swap semantics, but a successful swap releases the
-/// displaced reference through
-/// [`retire_destroy_raw`](crate::inc::retire_destroy_raw) — the
-/// decrement runs only after a full grace period. That grace deferral is
-/// load-bearing: it is what lets `Strategy::DeferredInc` readers treat
-/// any pointer loaded inside their pin as alive without validation (the
-/// cover-unit argument in `crate::inc`).
-///
-/// The failure-path compensation stays eager, as in [`cas_deferred`]:
-/// the speculative `+1` on `new0` cannot be the last count (the caller
-/// holds `new0`), so undoing it never cascades and never displaces a
-/// field unit.
-///
-/// # Safety
-///
-/// As for [`cas`], with the borrowed-`old0` allowance extended to
-/// pending-increment references
-/// ([`IncLocal`](crate::inc::IncLocal)): `old0` is identity-only.
-pub unsafe fn cas_inc<T: Links<W>, W: DcasWord>(
-    a0: &PtrField<T, W>,
-    old0: *mut LfrcBox<T, W>,
-    new0: *mut LfrcBox<T, W>,
-) -> bool {
-    if !new0.is_null() {
-        // Safety: caller holds `new0` counted.
-        unsafe { add_to_rc(new0, 1) };
-    }
-    if a0
-        .raw()
-        .compare_and_swap(ptr_to_word(old0), ptr_to_word(new0))
-    {
-        // Safety: success transferred the location's old reference to
-        // us; the grace-deferred destroy takes ownership of it.
-        unsafe { crate::inc::retire_destroy_raw(old0) };
-        true
-    } else {
-        // Safety: we hold the +1 from above; eager is fine (see above).
-        unsafe { destroy(new0) };
-        false
-    }
-}
-
 /// `LFRCStore` (Figure 2 lines 21–28): stores counted pointer `v` into
 /// `a`, destroying the reference the location previously held.
 ///
@@ -456,49 +383,6 @@ pub unsafe fn dcas_ptr_word<T: Links<W>, W: DcasWord>(
     ) {
         // Safety: success transferred the location's reference to us.
         unsafe { destroy(old) };
-        true
-    } else {
-        // Safety: we hold the +1.
-        unsafe { destroy(new) };
-        false
-    }
-}
-
-/// [`dcas_ptr_word`] for the deferred-increment strategy: identical DCAS
-/// semantics, but a successful swing releases the displaced pointer
-/// reference through
-/// [`retire_destroy_raw`](crate::inc::retire_destroy_raw) instead of
-/// eagerly — required for every field-displacing operation of a
-/// `Strategy::DeferredInc` structure (the set/skiplist unlink swings use
-/// this variant) so the cover-unit argument of `crate::inc` holds.
-///
-/// # Safety
-///
-/// As for [`dcas_ptr_word`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn dcas_ptr_word_retire<T: Links<W>, W: DcasWord>(
-    a: &PtrField<T, W>,
-    word: &W,
-    old: *mut LfrcBox<T, W>,
-    word_old: u64,
-    new: *mut LfrcBox<T, W>,
-    word_new: u64,
-) -> bool {
-    if !new.is_null() {
-        // Safety: caller holds `new` counted.
-        unsafe { add_to_rc(new, 1) };
-    }
-    if W::dcas(
-        a.raw(),
-        word,
-        ptr_to_word(old),
-        word_old,
-        ptr_to_word(new),
-        word_new,
-    ) {
-        // Safety: success transferred the location's reference to us;
-        // the grace-deferred destroy takes ownership.
-        unsafe { crate::inc::retire_destroy_raw(old) };
         true
     } else {
         // Safety: we hold the +1.

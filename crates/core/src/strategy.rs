@@ -1,36 +1,31 @@
 //! Per-structure selection of the counted-load protocol.
 //!
-//! The repo now carries three ways to take (or avoid taking) a reference
-//! count on a shared-pointer read, and the structures in
-//! `lfrc-structures` select between them at construction time:
+//! The repo carries two ways to take (or avoid taking) a reference count
+//! on a shared-pointer read, and the structures in `lfrc-structures`
+//! select between them at construction time:
 //!
 //! | strategy | counted load costs | displaced counts | reference |
 //! |---|---|---|---|
 //! | [`Strategy::Dcas`] | one software-DCAS loop ([`crate::ops::load`]) | released eagerly | the paper's Figure 2 — the executable spec |
 //! | [`Strategy::DeferredDec`] | plain load + CAS-from-nonzero promote | parked on the decrement buffer | DESIGN.md §5.9 |
-//! | [`Strategy::DeferredInc`] | plain load + TLS pending increment | grace-deferred retire | DESIGN.md §5.13 |
 //!
 //! `Dcas` is deliberately kept as the reference implementation: the
 //! differential harness (`tests/strategy_diff.rs`) runs identical
-//! operation sequences through `Dcas` and `DeferredInc` instances and
+//! operation sequences through `Dcas` and `DeferredDec` instances and
 //! asserts observable equivalence across explored schedules, so the
 //! slow-but-paper-faithful path checks the fast path.
 
 use std::fmt;
 
-/// Which counted-load protocol a structure instance uses.
-///
-/// The choice is **per structure instance** (fixed at construction):
-/// mixing strategies on one instance would break the DeferredInc
-/// liveness-during-pin argument (DESIGN.md §5.13), which requires every
-/// displaced field count of that instance to be grace-deferred.
+/// Which counted-load protocol a structure instance uses, fixed at
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Strategy {
     /// The paper-faithful protocol: every counted load is `LFRCLoad`'s
     /// DCAS (increment the count atomically with re-checking the
     /// pointer). Slow (~20× a native CAS under the software DCAS
     /// emulation, experiment E7) but the executable specification the
-    /// other strategies are differentially tested against.
+    /// fast path is differentially tested against.
     Dcas,
     /// The deferred fast path of DESIGN.md §5.9: pin-scoped uncounted
     /// reads ([`crate::defer::Borrowed`]), CAS-from-nonzero
@@ -39,28 +34,18 @@ pub enum Strategy {
     /// per-thread decrement buffer.
     #[default]
     DeferredDec,
-    /// Deferred **increments** (Anderson, Blelloch & Wei, arXiv
-    /// 2204.05985, adapted): a counted load inside an epoch pin is one
-    /// plain atomic load plus a thread-local pending-increment record
-    /// ([`crate::inc::IncLocal`]), settled into the object's count — or
-    /// cancelled — before the pinning epoch can expire. Promotion to an
-    /// escaping [`crate::Local`] never fails and needs no CAS. See
-    /// DESIGN.md §5.13 for the weakened invariant and the epoch gating
-    /// that restores safety.
-    DeferredInc,
 }
 
 impl Strategy {
     /// All strategies, in spec-first order (benchmark sweeps iterate
     /// this).
-    pub const ALL: [Strategy; 3] = [Strategy::Dcas, Strategy::DeferredDec, Strategy::DeferredInc];
+    pub const ALL: [Strategy; 2] = [Strategy::Dcas, Strategy::DeferredDec];
 
     /// Stable label used in benchmark tables and `LFRC_STRATEGY`.
     pub fn name(self) -> &'static str {
         match self {
             Strategy::Dcas => "dcas",
             Strategy::DeferredDec => "deferred-dec",
-            Strategy::DeferredInc => "deferred-inc",
         }
     }
 
@@ -80,9 +65,8 @@ impl Strategy {
     /// the wrong strategy.
     pub fn from_env() -> Strategy {
         match std::env::var("LFRC_STRATEGY") {
-            Ok(v) => Strategy::parse(&v).unwrap_or_else(|| {
-                panic!("LFRC_STRATEGY={v:?}: expected dcas | deferred-dec | deferred-inc")
-            }),
+            Ok(v) => Strategy::parse(&v)
+                .unwrap_or_else(|| panic!("LFRC_STRATEGY={v:?}: expected dcas | deferred-dec")),
             Err(_) => Strategy::default(),
         }
     }

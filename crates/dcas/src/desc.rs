@@ -9,9 +9,8 @@
 //! pointers, so a helper that loads a stale word detects the reuse by
 //! sequence mismatch and abandons instead of helping a recycled
 //! operation. The MCAS hot path then does **zero allocation and zero
-//! epoch deferral** — the write-side twin of the deferred-increment
-//! read-side win (DESIGN.md §5.13). The full sequence-validation safety
-//! argument is DESIGN.md §5.14.
+//! epoch deferral**. The full sequence-validation safety argument is
+//! DESIGN.md §5.14.
 //!
 //! ```text
 //!  bits 63..16        bits 15..2     bits 1..0

@@ -119,16 +119,6 @@ pub fn emulation_stats() -> StatsSnapshot {
     collector().stats()
 }
 
-/// Installs a veto on epoch advancement in the emulator's collector
-/// (see [`Collector::set_advance_gate`]). `lfrc-core`'s deferred-increment
-/// strategy registers its "no unsettled increments" predicate through
-/// here; while the gate returns `false` the grace period cannot complete,
-/// so no object covered by a pending increment can be freed. Installed at
-/// most once per process; later calls are ignored.
-pub fn set_advance_gate(gate: fn() -> bool) {
-    collector().set_advance_gate(gate);
-}
-
 /// Drives the emulator's collector until everything currently eligible is
 /// freed. Intended for tests and experiment teardown (call from a moment
 /// when no other thread is mid-operation).

@@ -71,7 +71,7 @@ pub mod mcas;
 // through this re-export.
 pub use lfrc_obs::instrument;
 
-pub use emu::{emulation_stats, quiesce, retire_box, retire_fn, set_advance_gate, with_guard};
+pub use emu::{emulation_stats, quiesce, retire_box, retire_fn, with_guard};
 pub use instrument::InstrSite;
 pub use llsc::{Linked, LlScCell};
 pub use locked::LockWord;

@@ -64,13 +64,11 @@ where
                 for i in 0..ops_per_thread {
                     body(t, i);
                 }
-                // Deferred-fast-path workloads park decrements (and
-                // DeferredInc workloads pending increments) on the
-                // worker's buffers, and `std::thread::scope` can return
-                // before TLS exit flushes run — settle and flush
-                // explicitly so callers can inspect censuses right after
-                // this returns (see lfrc_core::defer / lfrc_core::inc).
-                lfrc_core::settle_thread();
+                // Deferred-fast-path workloads park decrements on the
+                // worker's buffer, and `std::thread::scope` can return
+                // before TLS exit flushes run — flush explicitly so
+                // callers can inspect censuses right after this returns
+                // (see lfrc_core::defer).
                 lfrc_core::defer::flush_thread();
             });
         }
@@ -126,7 +124,6 @@ where
                     i += 1;
                 }
                 total.fetch_add(done, Ordering::AcqRel);
-                lfrc_core::settle_thread();
                 lfrc_core::defer::flush_thread();
             });
         }

@@ -87,9 +87,8 @@ impl SoakReport {
 ///
 /// `body(thread, i)` performs one operation and returns `Some(kind)`
 /// (an index into `cfg.kinds`) for useful work, `None` for an iteration
-/// that should not be timed. Workers settle increment buffers and flush
-/// defer buffers before exiting, so censuses are inspectable right
-/// after this returns.
+/// that should not be timed. Workers flush defer buffers before exiting,
+/// so censuses are inspectable right after this returns.
 pub fn run_soak<F>(cfg: &SoakConfig, body: F) -> SoakReport
 where
     F: Fn(usize, u64) -> Option<usize> + Sync,
@@ -138,7 +137,6 @@ where
                     i += 1;
                 }
                 total.fetch_add(done, Ordering::AcqRel);
-                lfrc_core::settle_thread();
                 lfrc_core::defer::flush_thread();
             });
         }

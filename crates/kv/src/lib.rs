@@ -32,13 +32,12 @@
 //!
 //! [`KvStore::write_batch`] applies a slice of [`KvWrite`]s inside **one**
 //! [`defer::pinned`] scope. Pinning is reentrant, so each inner
-//! insert/remove joins the batch's pin instead of opening its own, and
-//! the increment-buffer settle that [`Strategy::DeferredInc`] runs at
-//! outermost pin exit happens **once per batch** instead of once per
-//! operation (DESIGN.md §5.16). The trade is grace-period latency: the
-//! epoch cannot advance past a pinned thread, so batches should stay
-//! small (hundreds, not millions) — exactly the contract a real write
-//! batch has with an epoch-based reclaimer.
+//! insert/remove joins the batch's pin instead of opening its own: the
+//! batch amortizes the pin, and only the pin (DESIGN.md §5.16). The
+//! trade is grace-period latency: the epoch cannot advance past a pinned
+//! thread, so batches should stay small (hundreds, not millions) —
+//! exactly the contract a real write batch has with an epoch-based
+//! reclaimer.
 //!
 //! ## Telemetry
 //!
@@ -260,9 +259,8 @@ impl<W: DcasWord> KvStore<W> {
     /// deletes of present keys).
     ///
     /// The single outer pin is the batch amortization: inner operations'
-    /// pins nest for free, and under [`Strategy::DeferredInc`] the
-    /// pending-increment settle runs once at batch exit instead of once
-    /// per write. Keys may repeat; later writes see earlier ones.
+    /// pins nest for free, so the batch pays one pin instead of one per
+    /// write. Keys may repeat; later writes see earlier ones.
     pub fn write_batch(&self, writes: &[KvWrite]) -> usize {
         defer::pinned(|_pin| {
             let mut applied = 0usize;
@@ -368,7 +366,6 @@ mod tests {
                 }
                 assert_eq!(kv.len(), model.len());
                 assert_eq!(kv.keys(), model.iter().copied().collect::<Vec<_>>());
-                lfrc_core::settle_thread();
                 drain(kv);
             }
         }
@@ -440,7 +437,6 @@ mod tests {
             let unbatch: Vec<KvWrite> = (0..256u64).map(KvWrite::Delete).collect();
             assert_eq!(kv.write_batch(&unbatch), 256);
             assert!(kv.is_empty());
-            lfrc_core::settle_thread();
             drain(kv);
         }
     }
@@ -459,7 +455,6 @@ mod tests {
                     for k in (base..base + 500).step_by(2) {
                         assert!(kv.delete(k));
                     }
-                    lfrc_core::settle_thread();
                     lfrc_core::defer::flush_thread();
                 });
             }
@@ -490,10 +485,12 @@ mod tests {
         // One test owns both variables: parallel tests in this binary
         // must not read them.
         std::env::set_var("LFRC_KV_SHARDS", "9");
-        std::env::set_var("LFRC_STRATEGY", "deferred-inc");
-        let cfg = KvConfig::from_env();
-        assert_eq!(cfg.shards, 9);
-        assert_eq!(cfg.strategy, Strategy::DeferredInc);
+        for strategy in Strategy::ALL {
+            std::env::set_var("LFRC_STRATEGY", strategy.name());
+            let cfg = KvConfig::from_env();
+            assert_eq!(cfg.shards, 9);
+            assert_eq!(cfg.strategy, strategy);
+        }
         std::env::remove_var("LFRC_KV_SHARDS");
         std::env::remove_var("LFRC_STRATEGY");
         let cfg = KvConfig::from_env();

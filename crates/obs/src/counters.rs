@@ -96,23 +96,6 @@ pub enum Counter {
     PoolSlabRetire,
     /// High-water mark of simultaneously live (mapped, unretired) slabs.
     PoolSlabsLiveHighWater,
-    /// DeferredInc: pending increments appended to a thread's increment
-    /// buffer (a counted load on the deferred-increment strategy).
-    DeferredIncAppend,
-    /// DeferredInc: pending increments folded into their object's count
-    /// at settle (pin-scope exit).
-    DeferredIncSettle,
-    /// DeferredInc: pending increments annihilated before settle — either
-    /// against the handle's own release or against a parked decrement in
-    /// the thread's decrement buffer (no rc traffic at all).
-    DeferredIncCancel,
-    /// DeferredInc: count releases epoch-retired (grace-deferred) instead
-    /// of applied eagerly — displaced field occupants and post-settle
-    /// handle drops.
-    DeferredIncRetire,
-    /// Epoch advances refused by a registered advance gate (unsettled
-    /// deferred increments outstanding).
-    EpochAdvanceGated,
     /// Immortal descriptors: slot claims that reused a previously
     /// published slot (sequence bumped past its first life) — the
     /// zero-allocation reuse edge of Arbel-Raviv & Brown.
@@ -128,7 +111,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every variant, in discriminant order (the shard layout).
-    pub const ALL: [Counter; 37] = [
+    pub const ALL: [Counter; 32] = [
         Counter::LoadDcasAttempt,
         Counter::LoadDcasRetry,
         Counter::LoadDeferred,
@@ -158,11 +141,6 @@ impl Counter {
         Counter::PoolSlabAlloc,
         Counter::PoolSlabRetire,
         Counter::PoolSlabsLiveHighWater,
-        Counter::DeferredIncAppend,
-        Counter::DeferredIncSettle,
-        Counter::DeferredIncCancel,
-        Counter::DeferredIncRetire,
-        Counter::EpochAdvanceGated,
         Counter::DescImmortalReuse,
         Counter::DescSeqInvalid,
         Counter::DescHelpAbandoned,
@@ -201,11 +179,6 @@ impl Counter {
             Counter::PoolSlabAlloc => "pool_slab_allocs",
             Counter::PoolSlabRetire => "pool_slab_retires",
             Counter::PoolSlabsLiveHighWater => "pool_slabs_live",
-            Counter::DeferredIncAppend => "deferred_inc_appends",
-            Counter::DeferredIncSettle => "deferred_inc_settles",
-            Counter::DeferredIncCancel => "deferred_inc_cancels",
-            Counter::DeferredIncRetire => "deferred_inc_retires",
-            Counter::EpochAdvanceGated => "epoch_advance_gated",
             Counter::DescImmortalReuse => "desc_immortal_reuses",
             Counter::DescSeqInvalid => "desc_seq_invalidations",
             Counter::DescHelpAbandoned => "desc_helps_abandoned",
@@ -244,11 +217,6 @@ impl Counter {
             Counter::PoolSlabAlloc => "Slabs mapped from the OS",
             Counter::PoolSlabRetire => "Fully-free slabs handed back to the OS",
             Counter::PoolSlabsLiveHighWater => "High-water mark of live slabs",
-            Counter::DeferredIncAppend => "Pending increments appended to an inc buffer",
-            Counter::DeferredIncSettle => "Pending increments folded in at settle",
-            Counter::DeferredIncCancel => "Pending increments annihilated before settle",
-            Counter::DeferredIncRetire => "Count releases epoch-retired instead of eager",
-            Counter::EpochAdvanceGated => "Epoch advances refused by the advance gate",
             Counter::DescImmortalReuse => "Immortal descriptor slot reuses",
             Counter::DescSeqInvalid => "Helper validations that found a stale sequence",
             Counter::DescHelpAbandoned => "Help attempts abandoned on sequence mismatch",

@@ -92,27 +92,6 @@ pub enum InstrSite {
     /// physical deallocation has not yet been epoch-deferred — the window
     /// the one-epoch retirement lag exists to protect.
     PoolSlabRetire,
-    /// Deferred-increment counted load (`Strategy::DeferredInc`): the
-    /// plain pointer read has happened but the pending increment has not
-    /// yet been appended — the widest version of the CAS-only gap of §1,
-    /// made safe by the pin plus settle-before-epoch-expiry.
-    IncLoad,
-    /// Deferred increment: a pending increment is about to be appended to
-    /// the calling thread's increment buffer (the count exists only in
-    /// TLS from here until settle).
-    IncAppend,
-    /// Deferred increment: a pending increment is being settled — either
-    /// a promote folding its `+1` into the object's count, or a pin
-    /// window that buffered increments closing (discarding leaked
-    /// entries and releasing the epoch-advance gate). Fires once per
-    /// batched-write scope, so crash plans can model "died settling the
-    /// batch".
-    IncSettle,
-    /// Deferred increment: a count release on the DeferredInc path is
-    /// about to be epoch-retired (grace-deferred) instead of applied
-    /// eagerly — the disposal discipline that keeps pending increments
-    /// covered.
-    IncRetire,
     /// Immortal descriptors: a thread is about to claim (reuse) one of
     /// its immortal MCAS/RDCSS descriptor slots — the status word has
     /// not yet entered the CLAIMING state, so stale helpers still see
@@ -131,7 +110,8 @@ pub enum InstrSite {
 
 impl InstrSite {
     /// Small stable tag, mixed into schedule trace hashes. A retired
-    /// site's tag is never reused, so the sequence may have gaps.
+    /// site's tag is never reused, so the sequence may have gaps (18–22
+    /// are retired).
     pub const fn tag(self) -> u64 {
         match self {
             InstrSite::LoadDcasWindow => 1,
@@ -151,10 +131,6 @@ impl InstrSite {
             InstrSite::PoolMagazineHit => 15,
             InstrSite::PoolRemoteFree => 16,
             InstrSite::PoolSlabRetire => 17,
-            InstrSite::IncLoad => 19,
-            InstrSite::IncAppend => 20,
-            InstrSite::IncSettle => 21,
-            InstrSite::IncRetire => 22,
             InstrSite::DescClaim => 23,
             InstrSite::DescSeqBump => 24,
             InstrSite::DescHelperValidate => 25,
@@ -181,10 +157,6 @@ impl InstrSite {
             InstrSite::PoolMagazineHit => "pool-magazine-hit",
             InstrSite::PoolRemoteFree => "pool-remote-free",
             InstrSite::PoolSlabRetire => "pool-slab-retire",
-            InstrSite::IncLoad => "inc-load",
-            InstrSite::IncAppend => "inc-append",
-            InstrSite::IncSettle => "inc-settle",
-            InstrSite::IncRetire => "inc-retire",
             InstrSite::DescClaim => "desc-claim",
             InstrSite::DescSeqBump => "desc-seq-bump",
             InstrSite::DescHelperValidate => "desc-helper-validate",
@@ -193,7 +165,7 @@ impl InstrSite {
 
     /// Every instrumented site, in tag order. Fault-injection sweeps
     /// iterate this to prove each site is actually reachable.
-    pub const ALL: [InstrSite; 24] = [
+    pub const ALL: [InstrSite; 20] = [
         InstrSite::LoadDcasWindow,
         InstrSite::DestroyDecrement,
         InstrSite::RdcssInstalled,
@@ -211,10 +183,6 @@ impl InstrSite {
         InstrSite::PoolMagazineHit,
         InstrSite::PoolRemoteFree,
         InstrSite::PoolSlabRetire,
-        InstrSite::IncLoad,
-        InstrSite::IncAppend,
-        InstrSite::IncSettle,
-        InstrSite::IncRetire,
         InstrSite::DescClaim,
         InstrSite::DescSeqBump,
         InstrSite::DescHelperValidate,

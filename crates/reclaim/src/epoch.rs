@@ -41,7 +41,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::pad::CachePadded;
 
@@ -171,12 +171,6 @@ struct Inner {
     participants: AtomicPtr<Participant>,
     /// Treiber stack of garbage bags abandoned by exited threads.
     orphans: AtomicPtr<OrphanNode>,
-    /// Optional veto consulted before any epoch advance. Installed once
-    /// (by `lfrc-core`'s deferred-increment machinery); `false` means some
-    /// thread still has unsettled rc increments covered by the current
-    /// epoch, so advancing — and thereby freeing their targets — would be
-    /// premature.
-    advance_gate: OnceLock<fn() -> bool>,
     stats: CollectorStats,
 }
 
@@ -242,7 +236,6 @@ impl Collector {
                 global_epoch: CachePadded::new(AtomicU64::new(2)),
                 participants: AtomicPtr::new(ptr::null_mut()),
                 orphans: AtomicPtr::new(ptr::null_mut()),
-                advance_gate: OnceLock::new(),
                 stats: CollectorStats::new(),
             }),
         }
@@ -301,25 +294,6 @@ impl Collector {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Installs a veto consulted before every epoch-advance attempt.
-    ///
-    /// While `gate()` returns `false`, [`try_advance`](Self::try_advance)
-    /// refuses to move the global epoch (and bumps the
-    /// `epoch_advance_gated` counter), exactly as if a straggler thread
-    /// were pinned at an older epoch. The deferred-increment strategy in
-    /// `lfrc-core` uses this as a belt-and-braces backstop: pending
-    /// increments are settled before the pinning guard drops, but if any
-    /// are ever outstanding (a crashed thread mid-operation), the gate
-    /// keeps their target objects from completing the two-epoch grace
-    /// period and being freed out from under the un-materialized count.
-    ///
-    /// The gate can be installed only once per collector; later calls are
-    /// ignored. It must be cheap and non-blocking (it runs on every
-    /// collect attempt).
-    pub fn set_advance_gate(&self, gate: fn() -> bool) {
-        let _ = self.inner.advance_gate.set(gate);
-    }
-
     /// Attempts to advance the global epoch by one.
     ///
     /// Succeeds only when every currently pinned participant has announced
@@ -327,14 +301,6 @@ impl Collector {
     /// the CAS succeeded).
     fn try_advance(&self) -> u64 {
         let global = self.inner.global_epoch.load(Ordering::Acquire);
-        if let Some(gate) = self.inner.advance_gate.get() {
-            if !gate() {
-                // Unsettled deferred increments are still covered by this
-                // epoch; advancing would let their targets be freed.
-                lfrc_obs::counters::incr(lfrc_obs::Counter::EpochAdvanceGated);
-                return global;
-            }
-        }
         fence(Ordering::SeqCst);
         let mut cur = self.inner.participants.load(Ordering::Acquire);
         while !cur.is_null() {
@@ -935,28 +901,6 @@ mod tests {
             h.collect();
         }
         assert!(c.epoch() > before);
-    }
-
-    #[test]
-    fn advance_gate_vetoes_until_open() {
-        static OPEN: AtomicBool = AtomicBool::new(false);
-        fn gate() -> bool {
-            OPEN.load(Ordering::SeqCst)
-        }
-        OPEN.store(false, Ordering::SeqCst);
-
-        let c = Collector::new();
-        c.set_advance_gate(gate);
-        let h = c.register();
-        let before = c.epoch();
-        for _ in 0..4 {
-            h.collect();
-        }
-        assert_eq!(c.epoch(), before, "closed gate must veto every advance");
-
-        OPEN.store(true, Ordering::SeqCst);
-        h.collect();
-        assert!(c.epoch() > before, "open gate must permit advancement");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 use lfrc_core::defer::{self, Borrowed};
-use lfrc_core::{DcasWord, Heap, IncLocal, Links, Local, PtrField, SharedField, Strategy};
+use lfrc_core::{DcasWord, Heap, Links, Local, PtrField, SharedField, Strategy};
 use lfrc_reclaim::Collector;
 
 use crate::stack::with_gc_guard;
@@ -254,9 +254,7 @@ impl<W: DcasWord> LfrcQueue<W> {
     }
 
     /// Creates an empty queue using the given counted-load [`Strategy`],
-    /// fixed for the instance's lifetime (the `DeferredInc` safety
-    /// argument requires every displacing operation of the instance to
-    /// grace-retire, so strategies never mix on one queue).
+    /// fixed for the instance's lifetime.
     pub fn with_strategy(strategy: Strategy) -> Self {
         Self::with_backend_and_strategy(lfrc_core::Backend::default(), strategy)
     }
@@ -292,7 +290,7 @@ impl<W: DcasWord> LfrcQueue<W> {
 
     /// Paper-faithful enqueue: every pointer read is `LFRCLoad`'s DCAS,
     /// every displaced count released eagerly — the executable spec the
-    /// differential harness compares the fast strategies against.
+    /// differential harness compares the fast path against.
     fn enqueue_dcas(&self, node: Local<LfrcQueueNode<W>, W>) {
         loop {
             let tail = self.tail.load().expect("tail is never null");
@@ -386,68 +384,6 @@ impl<W: DcasWord> LfrcQueue<W> {
             }
         })
     }
-
-    /// Deferred-**increment** enqueue (DESIGN.md §5.13). The §5.9
-    /// version must promote the tail before touching its `next` (a freed
-    /// tail's harvested field would strand the node); here no promote is
-    /// needed at all — the cover-unit argument keeps every object loaded
-    /// inside the pin alive, harvested fields included, until we unpin.
-    fn enqueue_inc(&self, node: Local<LfrcQueueNode<W>, W>) {
-        defer::pinned(|pin| loop {
-            let tail = self.tail.load_counted_inc(pin).expect("tail is never null");
-            // `tail` is alive for the whole pin, so its `next` field is
-            // genuine (never a harvested null).
-            let next = tail.next.load_counted_inc(pin);
-            match next {
-                None => {
-                    if tail.next.compare_and_set(None, Some(&node)) {
-                        // Linearized; swing the tail (ok to fail). The
-                        // swing's displaced unit is grace-retired.
-                        let _ = self.tail.compare_and_set_inc(Some(&tail), Some(&node));
-                        return;
-                    }
-                }
-                Some(next) => {
-                    // Help the lagging enqueuer; the settle is a plain
-                    // fetch_add (no CAS — `next` is alive all pin).
-                    let next_l = IncLocal::promote(next);
-                    let _ = self.tail.compare_and_set_inc(Some(&tail), Some(&next_l));
-                }
-            }
-        })
-    }
-
-    /// Deferred-increment dequeue (DESIGN.md §5.13): plain loads for
-    /// head, tail *and* `head.next` — no DCAS, no CAS-from-nonzero, no
-    /// rc re-validation on the empty check.
-    fn dequeue_inc(&self) -> Option<u64> {
-        defer::pinned(|pin| loop {
-            let head = self.head.load_counted_inc(pin).expect("head is never null");
-            let tail = self.tail.load_counted_inc(pin).expect("tail is never null");
-            let next = head.next.load_counted_inc(pin);
-            let Some(next) = next else {
-                // Genuinely empty: `head` cannot have been harvested
-                // while we are pinned (cover-unit argument), so a null
-                // `next` needs no ref-count validation — contrast
-                // `dequeue_dec`.
-                return None;
-            };
-            if IncLocal::ptr_eq(&head, &tail) {
-                let next_l = IncLocal::promote(next);
-                let _ = self.tail.compare_and_set_inc(Some(&tail), Some(&next_l));
-                continue;
-            }
-            let value = next.value; // alive for the whole pin
-            let next_l = IncLocal::promote(next); // plain fetch_add
-            if self.head.compare_and_set_inc(Some(&head), Some(&next_l)) {
-                // Old sentinel's unit is grace-retired by `cas_inc`.
-                return Some(value);
-            }
-            // Retry: dropping `next_l` releases its +1 eagerly — safe,
-            // because the old sentinel's field unit on `next` is
-            // grace-deferred past our pin, keeping the count ≥ 1.
-        })
-    }
 }
 
 impl<W: DcasWord> ConcurrentQueue for LfrcQueue<W> {
@@ -456,9 +392,8 @@ impl<W: DcasWord> ConcurrentQueue for LfrcQueue<W> {
     /// **promoted** before anything is installed into its `next` —
     /// installing into a freed node's harvested field would strand the
     /// new node (harvest already ran; nothing would ever release it), so
-    /// the promote's held count is load-bearing there. `DeferredInc`
-    /// (§5.13) needs no promote at all; `Dcas` is the paper-faithful
-    /// reference.
+    /// the promote's held count is load-bearing there. `Dcas` is the
+    /// paper-faithful reference.
     fn enqueue(&self, value: u64) {
         let node = self.heap.alloc(LfrcQueueNode {
             value,
@@ -467,7 +402,6 @@ impl<W: DcasWord> ConcurrentQueue for LfrcQueue<W> {
         match self.strategy {
             Strategy::Dcas => self.enqueue_dcas(node),
             Strategy::DeferredDec => self.enqueue_dec(node),
-            Strategy::DeferredInc => self.enqueue_inc(node),
         }
     }
 
@@ -476,13 +410,10 @@ impl<W: DcasWord> ConcurrentQueue for LfrcQueue<W> {
     /// `next` load and the head swing, which parks the old sentinel's
     /// count on the decrement buffer — a dequeue never pays the
     /// sentinel's free (the paper's per-dequeue pause) inline.
-    /// `DeferredInc` makes the `next` load plain too and grace-retires
-    /// the sentinel's unit.
     fn dequeue(&self) -> Option<u64> {
         match self.strategy {
             Strategy::Dcas => self.dequeue_dcas(),
             Strategy::DeferredDec => self.dequeue_dec(),
-            Strategy::DeferredInc => self.dequeue_inc(),
         }
     }
 
@@ -534,9 +465,6 @@ mod tests {
                     }
                     // Explicit: `scope` can return before this thread's
                     // TLS-destructor flush runs, racing the census read.
-                    // Settle first so a (never-expected) increment residue
-                    // cannot hold the advance gate closed either.
-                    lfrc_core::settle_thread();
                     lfrc_core::defer::flush_thread();
                 });
             }
@@ -560,7 +488,6 @@ mod tests {
                             }
                         }
                     }
-                    lfrc_core::settle_thread();
                     lfrc_core::defer::flush_thread();
                 });
             }
@@ -600,16 +527,11 @@ mod tests {
         assert_eq!(census.live(), 0, "LFRC queue leaked nodes");
     }
 
-    /// See the stack's twin: DeferredInc frees run only after epoch
-    /// advances, so census asserts drive the collector with a bound.
+    /// Flushes the calling thread's parked decrements, then checks that
+    /// every node was freed.
     #[track_caller]
     fn assert_census_drains(census: &lfrc_core::Census) {
-        let t0 = std::time::Instant::now();
-        while census.live() != 0 && t0.elapsed() < std::time::Duration::from_secs(10) {
-            lfrc_core::defer::flush_thread();
-            lfrc_dcas::quiesce();
-            std::thread::yield_now();
-        }
+        lfrc_core::defer::flush_thread();
         assert_eq!(census.live(), 0, "census did not drain");
     }
 
@@ -628,15 +550,6 @@ mod tests {
             drop(q);
             assert_census_drains(&census);
         }
-    }
-
-    #[test]
-    fn lfrc_queue_deferred_inc_concurrent() {
-        let q: LfrcQueue<McasWord> = LfrcQueue::with_strategy(Strategy::DeferredInc);
-        let census = std::sync::Arc::clone(q.heap().census());
-        exercise_concurrent(&q, 4, 3_000);
-        drop(q);
-        assert_census_drains(&census);
     }
 
     #[test]

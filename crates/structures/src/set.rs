@@ -30,26 +30,15 @@
 //! Garbage is cycle-free: an unlinked node's `next` points forward into
 //! the list, so step 3 of the methodology holds with no modification.
 //!
-//! # Load strategies
-//!
-//! The set honours a per-instance [`Strategy`] (DESIGN.md §5.13):
-//!
-//! * writers (`find`/`insert`/`remove`) always use counted `LFRCLoad`s —
-//!   they hold references across DCAS swings, where counted locals are
-//!   the natural idiom under every strategy;
-//! * under [`Strategy::DeferredInc`] the unlink `swing` routes its
-//!   displaced reference through
-//!   [`dcas_ptr_word_retire`](lfrc_core::ops::dcas_ptr_word_retire), so
-//!   every displaced field unit is grace-retired — the cover invariant
-//!   that lets the read path skip validation entirely;
-//! * `contains` picks its traversal by strategy: counted hops
-//!   (`Dcas`/`DeferredDec`) or pin-scoped deferred-increment hops
-//!   (`DeferredInc`, one plain load + TLS append per hop).
+//! Every operation, `contains` included, uses counted `LFRCLoad`s: the
+//! set is the paper-faithful breadth demonstration and has no
+//! [`Strategy`](lfrc_core::Strategy) knob. The skip list
+//! (`crate::skiplist`) is the ordered structure that runs on the
+//! deferred fast path.
 
 use std::fmt;
 
-use lfrc_core::defer;
-use lfrc_core::{DcasWord, Heap, Links, Local, PtrField, SharedField, Strategy};
+use lfrc_core::{DcasWord, Heap, Links, Local, PtrField, SharedField};
 
 /// Keys are `u64` strictly below this bound (one value is reserved for
 /// the tail sentinel).
@@ -110,14 +99,12 @@ impl<W: DcasWord> fmt::Debug for SetNode<W> {
 pub struct LfrcOrderedSet<W: DcasWord> {
     head: SharedField<SetNode<W>, W>,
     heap: Heap<SetNode<W>, W>,
-    strategy: Strategy,
 }
 
 impl<W: DcasWord> fmt::Debug for LfrcOrderedSet<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LfrcOrderedSet")
             .field("census", self.heap.census())
-            .field("strategy", &self.strategy)
             .finish()
     }
 }
@@ -129,14 +116,8 @@ impl<W: DcasWord> Default for LfrcOrderedSet<W> {
 }
 
 impl<W: DcasWord> LfrcOrderedSet<W> {
-    /// Creates an empty set (two sentinel nodes) with the default
-    /// [`Strategy`].
+    /// Creates an empty set (two sentinel nodes).
     pub fn new() -> Self {
-        Self::with_strategy(Strategy::default())
-    }
-
-    /// Creates an empty set using `strategy` for its load protocol.
-    pub fn with_strategy(strategy: Strategy) -> Self {
         let heap: Heap<SetNode<W>, W> = Heap::new();
         let tail = heap.alloc(SetNode {
             key: TAIL_KEY,
@@ -152,7 +133,6 @@ impl<W: DcasWord> LfrcOrderedSet<W> {
         let set = LfrcOrderedSet {
             head: SharedField::null(),
             heap,
-            strategy,
         };
         set.head.store_consume(head_node);
         set
@@ -163,20 +143,9 @@ impl<W: DcasWord> LfrcOrderedSet<W> {
         &self.heap
     }
 
-    /// The load strategy this instance was built with.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
     /// Atomically swings `pred.next` from `curr` to `new` while
     /// validating that `pred` is still unmarked — the DCAS that replaces
     /// Harris's pointer tagging.
-    ///
-    /// Under [`Strategy::DeferredInc`] the displaced reference (`curr`)
-    /// is released through the grace-period retire queue instead of
-    /// eagerly: a pending `+1` appended by a pinned reader is *covered*
-    /// by the field unit we displace here, so that unit must outlive
-    /// every pin that could have observed it (§5.13).
     fn swing(
         &self,
         pred: &Local<SetNode<W>, W>,
@@ -188,25 +157,14 @@ impl<W: DcasWord> LfrcOrderedSet<W> {
         // `dcas_ptr_word` requires; `curr`/`new` are caller-held counted
         // references (or null).
         unsafe {
-            if self.strategy == Strategy::DeferredInc {
-                lfrc_core::ops::dcas_ptr_word_retire(
-                    &pred.next,
-                    &pred.marked,
-                    Local::option_as_raw(curr),
-                    0,
-                    Local::option_as_raw(new),
-                    0,
-                )
-            } else {
-                lfrc_core::ops::dcas_ptr_word(
-                    &pred.next,
-                    &pred.marked,
-                    Local::option_as_raw(curr),
-                    0,
-                    Local::option_as_raw(new),
-                    0,
-                )
-            }
+            lfrc_core::ops::dcas_ptr_word(
+                &pred.next,
+                &pred.marked,
+                Local::option_as_raw(curr),
+                0,
+                Local::option_as_raw(new),
+                0,
+            )
         }
     }
 
@@ -281,46 +239,14 @@ impl<W: DcasWord> LfrcOrderedSet<W> {
     }
 
     /// Membership test (read-only traversal; does not help unlink).
-    ///
-    /// Dispatches on the instance [`Strategy`]: counted `LFRCLoad` hops
-    /// for `Dcas`/`DeferredDec`, deferred-increment hops (§5.13) for
-    /// `DeferredInc`.
     pub fn contains(&self, key: u64) -> bool {
         let ekey = encode_key(key);
-        if self.strategy == Strategy::DeferredInc {
-            self.contains_inc(ekey)
-        } else {
-            self.contains_dcas(ekey)
-        }
-    }
-
-    fn contains_dcas(&self, ekey: u64) -> bool {
         let mut curr = self.head.load().expect("head sentinel");
         while curr.key < ekey {
             let next = curr.next.load().expect("tail terminates");
             curr = next;
         }
         curr.key == ekey && curr.marked.load() == 0
-    }
-
-    /// Deferred-increment traversal: one plain load + one thread-local
-    /// append per hop, no DCAS, no count traffic.
-    ///
-    /// No validation and no restarts: on an exclusively-`DeferredInc`
-    /// instance every displaced field unit is grace-retired (see
-    /// [`swing`](Self::swing)), so any node reached inside this pin stays
-    /// allocated with `rc ≥ 1` for the whole pin and a null link is
-    /// always a genuine tail — unlike the §5.9 uncounted path, which must
-    /// re-check `ref_count` after every suspicious read.
-    fn contains_inc(&self, ekey: u64) -> bool {
-        defer::pinned(|pin| {
-            let mut curr = self.head.load_counted_inc(pin).expect("head sentinel");
-            while curr.key < ekey {
-                let next = curr.next.load_counted_inc(pin).expect("tail terminates");
-                curr = next;
-            }
-            curr.key == ekey && curr.marked.load() == 0
-        })
     }
 
     /// Number of live (unmarked, reachable) keys — O(n) diagnostic.
@@ -467,52 +393,14 @@ mod tests {
         );
     }
 
-    /// Under `Strategy::DeferredInc` the logical free happens inside a
-    /// grace-retired destroy, so the census drains only after the epoch
-    /// advances — drive it with a bounded flush/quiesce loop.
-    #[track_caller]
-    fn assert_census_drains(census: &lfrc_core::Census) {
-        let t0 = std::time::Instant::now();
-        while census.live() != 0 && t0.elapsed() < std::time::Duration::from_secs(10) {
-            lfrc_core::defer::flush_thread();
-            lfrc_dcas::quiesce();
-            std::thread::yield_now();
-        }
-        assert_eq!(census.live(), 0, "census did not drain");
-    }
-
     #[test]
-    fn lfrc_set_every_strategy_sequential() {
-        for strategy in Strategy::ALL {
-            let s: LfrcOrderedSet<McasWord> = LfrcOrderedSet::with_strategy(strategy);
-            assert_eq!(s.strategy(), strategy);
-            assert!(s.is_empty());
-            assert!(s.insert(10));
-            assert!(s.insert(5));
-            assert!(s.insert(20));
-            assert!(!s.insert(10), "duplicate insert must fail ({strategy})");
-            assert_eq!(s.len(), 3);
-            assert!(s.contains(5) && s.contains(10) && s.contains(20));
-            assert!(!s.contains(15));
-            assert!(s.remove(10));
-            assert!(!s.remove(10), "double remove must fail ({strategy})");
-            assert!(!s.contains(10));
-            assert_eq!(s.len(), 2);
-            let census = std::sync::Arc::clone(s.heap().census());
-            drop(s);
-            assert_census_drains(&census);
-        }
-    }
-
-    #[test]
-    fn lfrc_set_deferred_inc_concurrent_contention() {
-        // Same contended workload as the default-strategy test, with
-        // readers on the deferred-increment traversal racing the
-        // grace-retired unlinks.
+    fn concurrent_contention_with_readers() {
+        // The contended workload above with `contains` readers racing the
+        // unlink swings; every node must be freed afterwards.
         const THREADS: usize = 4;
         const OPS: u64 = 1_500;
         const KEYS: u64 = 8;
-        let s: LfrcOrderedSet<McasWord> = LfrcOrderedSet::with_strategy(Strategy::DeferredInc);
+        let s: LfrcOrderedSet<McasWord> = LfrcOrderedSet::new();
         let census = std::sync::Arc::clone(s.heap().census());
         let net = AtomicU64::new(0);
         let barrier = Barrier::new(THREADS);
@@ -543,14 +431,12 @@ mod tests {
                             }
                         }
                     }
-                    lfrc_core::settle_thread();
-                    lfrc_core::defer::flush_thread();
                 });
             }
         });
         assert_eq!(s.len() as u64, net.load(Ordering::Relaxed));
         drop(s);
-        assert_census_drains(&census);
+        assert_eq!(census.live(), 0, "set leaked nodes");
     }
 
     #[test]

@@ -19,24 +19,16 @@
 //!   more descent helps finish it;
 //! * `contains` — top-down descent whose load protocol follows the
 //!   instance [`Strategy`]: the §5.9 deferred fast path (plain loads
-//!   under a pin, rc-validated) for `DeferredDec`, the §5.13
-//!   deferred-increment path (plain loads + TLS pending `+1`, *no*
-//!   validation) for `DeferredInc`, and
+//!   under a pin, rc-validated) for `DeferredDec`, and
 //!   [`contains_counted`](LfrcSkipList::contains_counted) — one
 //!   `LFRCLoad` DCAS per hop — for `Dcas`.
 //!
 //! Writers make one descent per operation, inside one
-//! [`defer::pinned`] scope. Under both fast strategies its hops are
-//! uncounted `load_deferred` reads, validated as in `contains_deferred`,
-//! and a writer promotes only the nodes it links through (DESIGN.md
-//! §5.9, "Writers on the fast path"). Under `Dcas` the same `insert`
-//! and `remove` run over counted `LFRCLoad` hops: the executable spec.
-//!
-//! Under `DeferredInc` every `swing` routes its displaced reference
-//! through the grace-period retire queue
-//! ([`dcas_ptr_word_retire`](lfrc_core::ops::dcas_ptr_word_retire)); that
-//! cover invariant is what lets the increment-strategy descent drop the
-//! rc-validation restarts.
+//! [`defer::pinned`] scope. Under `DeferredDec` its hops are uncounted
+//! `load_deferred` reads, validated as in `contains_deferred`, and a
+//! writer promotes only the nodes it links through (DESIGN.md §5.9,
+//! "Writers on the fast path"). Under `Dcas` the same `insert` and
+//! `remove` run over counted `LFRCLoad` hops: the executable spec.
 //!
 //! Garbage stays cycle-free: all tower pointers aim forward (toward
 //! larger keys), so step 3 of the methodology holds untouched.
@@ -254,8 +246,9 @@ type NodePtr<W> = *mut LfrcBox<SkipNode<W>, W>;
 
 /// How a writer's descent holds the nodes it passes: a counted `Local`
 /// per hop (the `Dcas` spec, one `LFRCLoad` each) or an uncounted
-/// `Borrowed` per hop (the fast strategies, one plain load each, with
-/// only the nodes a writer links through counted by [`Hop::counted`]).
+/// `Borrowed` per hop (the `DeferredDec` fast path, one plain load each,
+/// with only the nodes a writer links through counted by
+/// [`Hop::counted`]).
 trait Hop<'p, W: DcasWord>: Deref<Target = SkipNode<W>> + Clone {
     /// Reads a link; `None` is null.
     fn read(field: &PtrField<SkipNode<W>, W>, pin: &'p Pin) -> Option<Self>;
@@ -371,37 +364,20 @@ impl<W: DcasWord> LfrcSkipList<W> {
     /// `pred` (whose cells the DCAS writes) and `new` (which gains the
     /// field's unit) are counted; `old` is identity only, read inside
     /// the caller's pin (DESIGN.md §5.9, "Writers on the fast path").
-    ///
-    /// Under [`Strategy::DeferredInc`] the displaced reference is
-    /// grace-retired instead of eagerly released: a pinned reader's
-    /// pending `+1` on `old` may be covered by exactly the field unit
-    /// this swing displaces, so the unit must outlive every pin that
-    /// could have observed it (§5.13 cover invariant).
     fn swing(&self, pred: &NodeRef<W>, lvl: usize, old: NodePtr<W>, new: &NodeRef<W>) -> bool {
         // Safety: `pred` and `new` are counted (so `pred`'s cells are
         // alive); `old` was read inside the caller's pin, so word
         // equality is object identity and a success releases the
         // field's own unit.
         unsafe {
-            if self.strategy == Strategy::DeferredInc {
-                lfrc_core::ops::dcas_ptr_word_retire(
-                    &pred.next[lvl],
-                    &pred.marked,
-                    old,
-                    0,
-                    Local::as_raw(new),
-                    0,
-                )
-            } else {
-                lfrc_core::ops::dcas_ptr_word(
-                    &pred.next[lvl],
-                    &pred.marked,
-                    old,
-                    0,
-                    Local::as_raw(new),
-                    0,
-                )
-            }
+            lfrc_core::ops::dcas_ptr_word(
+                &pred.next[lvl],
+                &pred.marked,
+                old,
+                0,
+                Local::as_raw(new),
+                0,
+            )
         }
     }
 
@@ -452,7 +428,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
         let ekey = encode_key(key);
         defer::pinned(|pin| match self.strategy {
             Strategy::Dcas => self.insert_in::<NodeRef<W>>(ekey, pin),
-            _ => self.insert_in::<Borrowed<'_, SkipNode<W>, W>>(ekey, pin),
+            Strategy::DeferredDec => self.insert_in::<Borrowed<'_, SkipNode<W>, W>>(ekey, pin),
         })
     }
 
@@ -524,10 +500,8 @@ impl<W: DcasWord> LfrcSkipList<W> {
                 };
                 // Retarget this level's forward pointer from the fresh
                 // window. The store may displace an earlier retarget's
-                // unit eagerly — safe under every strategy: `node.next[l]`
-                // is unreachable to readers until a swing publishes
-                // `node` at this level, so the displaced unit covers no
-                // pending increment.
+                // unit eagerly — safe: `node.next[l]` is unreachable to
+                // readers until a swing publishes `node` at this level.
                 succs[l] = Local::as_raw(&s);
                 node.next[l].store_consume(s);
                 preds[l] = Some(p);
@@ -541,7 +515,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
         let ekey = encode_key(key);
         defer::pinned(|pin| match self.strategy {
             Strategy::Dcas => self.remove_in::<NodeRef<W>>(ekey, pin),
-            _ => self.remove_in::<Borrowed<'_, SkipNode<W>, W>>(ekey, pin),
+            Strategy::DeferredDec => self.remove_in::<Borrowed<'_, SkipNode<W>, W>>(ekey, pin),
         })
     }
 
@@ -603,14 +577,11 @@ impl<W: DcasWord> LfrcSkipList<W> {
     /// * `Dcas` → [`contains_counted`](Self::contains_counted) (one
     ///   `LFRCLoad` DCAS per hop, the paper-faithful baseline);
     /// * `DeferredDec` → the §5.9 uncounted fast path (plain loads,
-    ///   rc-validated, restart on suspicion);
-    /// * `DeferredInc` → the §5.13 deferred-increment path (plain loads
-    ///   plus a thread-local pending `+1` per hop, no validation at all).
+    ///   rc-validated, restart on suspicion).
     pub fn contains(&self, key: u64) -> bool {
         match self.strategy {
             Strategy::Dcas => self.contains_counted(key),
             Strategy::DeferredDec => self.contains_deferred(key),
-            Strategy::DeferredInc => self.contains_inc(key),
         }
     }
 
@@ -667,42 +638,6 @@ impl<W: DcasWord> LfrcSkipList<W> {
                 }
             }
             return false;
-        })
-    }
-
-    /// Membership test on the deferred-increment path (DESIGN.md §5.13):
-    /// a plain load plus one thread-local pending-`+1` append per hop.
-    ///
-    /// No `ref_count` validation and no restarts, unlike
-    /// [`contains_deferred`]: on an exclusively-`DeferredInc` instance
-    /// every displaced field unit is grace-retired (see
-    /// [`swing`](Self::swing)), so a node reached inside this pin keeps
-    /// `rc ≥ 1` for the whole pin and a null link is always a genuine
-    /// tail / unlinked level — never a harvested field on a freed node.
-    pub fn contains_inc(&self, key: u64) -> bool {
-        let ekey = encode_key(key);
-        defer::pinned(|pin| {
-            let Some(mut pred) = self.head.load_counted_inc(pin) else {
-                return false; // only during teardown
-            };
-            for lvl in (0..MAX_HEIGHT).rev() {
-                let mut curr = match pred.next[lvl].load_counted_inc(pin) {
-                    Some(c) => c,
-                    None => continue, // genuinely unlinked level: descend
-                };
-                while curr.key < ekey {
-                    let next = match curr.next[lvl].load_counted_inc(pin) {
-                        Some(n) => n,
-                        None => break, // genuine end of this level
-                    };
-                    pred = curr;
-                    curr = next;
-                }
-                if curr.key == ekey {
-                    return curr.marked.load() == 0;
-                }
-            }
-            false
         })
     }
 
@@ -980,17 +915,11 @@ mod tests {
         assert!(s.contains(STABLE));
     }
 
-    /// Under `Strategy::DeferredInc` the logical free happens inside a
-    /// grace-retired destroy, so the census drains only after the epoch
-    /// advances — drive it with a bounded flush/quiesce loop.
+    /// Flushes the calling thread's parked decrements, then checks that
+    /// every node was freed.
     #[track_caller]
     fn assert_census_drains(census: &lfrc_core::Census) {
-        let t0 = std::time::Instant::now();
-        while census.live() != 0 && t0.elapsed() < std::time::Duration::from_secs(10) {
-            lfrc_core::defer::flush_thread();
-            lfrc_dcas::quiesce();
-            std::thread::yield_now();
-        }
+        lfrc_core::defer::flush_thread();
         assert_eq!(census.live(), 0, "census did not drain");
     }
 
@@ -1010,59 +939,14 @@ mod tests {
             assert!(!s.contains(40), "{strategy}");
             assert!(s.remove(50), "{strategy}");
             assert!(!s.contains(50), "{strategy}");
-            // All three traversal protocols agree on a quiescent list.
+            // Both traversal protocols agree on a quiescent list.
             for k in 0..100u64 {
                 assert_eq!(s.contains_counted(k), s.contains_deferred(k), "key {k}");
-                assert_eq!(s.contains_counted(k), s.contains_inc(k), "key {k}");
             }
             let census = std::sync::Arc::clone(s.heap().census());
             drop(s);
             assert_census_drains(&census);
         }
-    }
-
-    #[test]
-    fn lfrc_skiplist_deferred_inc_contains_survives_concurrent_churn() {
-        // The §5.13 traversal races inserts/removes whose unlinks are
-        // grace-retired; stable keys must never be lost and nothing may
-        // trip a canary (the cover invariant keeps every visited node
-        // alive for the duration of the pin).
-        const STABLE: u64 = 999;
-        let s: LfrcSkipList<McasWord> = LfrcSkipList::with_strategy(Strategy::DeferredInc);
-        let census = std::sync::Arc::clone(s.heap().census());
-        s.insert(STABLE);
-        let barrier = Barrier::new(3);
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let (s, barrier) = (&s, &barrier);
-                scope.spawn(move || {
-                    barrier.wait();
-                    for _ in 0..60 {
-                        for k in 0..48u64 {
-                            s.insert(k);
-                        }
-                        for k in 0..48u64 {
-                            s.remove(k);
-                        }
-                    }
-                    lfrc_core::settle_thread();
-                    lfrc_core::defer::flush_thread();
-                });
-            }
-            let (s, barrier) = (&s, &barrier);
-            scope.spawn(move || {
-                barrier.wait();
-                for _ in 0..4_000 {
-                    assert!(s.contains(STABLE), "stable key lost mid-churn");
-                    let _ = s.contains(17); // churned key: any answer is fine
-                }
-                lfrc_core::settle_thread();
-                lfrc_core::defer::flush_thread();
-            });
-        });
-        assert!(s.contains(STABLE));
-        drop(s);
-        assert_census_drains(&census);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 use lfrc_core::defer::{self, Borrowed};
-use lfrc_core::{DcasWord, Heap, IncLocal, Links, Local, PtrField, SharedField, Strategy};
+use lfrc_core::{DcasWord, Heap, Links, Local, PtrField, SharedField, Strategy};
 use lfrc_reclaim::{Collector, LocalHandle};
 
 /// A concurrent LIFO stack of `u64` values.
@@ -263,10 +263,7 @@ impl<W: DcasWord> LfrcStack<W> {
     }
 
     /// Creates an empty stack using the given counted-load
-    /// [`Strategy`]. The choice is fixed for the instance's lifetime —
-    /// the `DeferredInc` safety argument requires every displacing
-    /// operation of the instance to grace-retire, so strategies never
-    /// mix on one stack.
+    /// [`Strategy`], fixed for the instance's lifetime.
     pub fn with_strategy(strategy: Strategy) -> Self {
         Self::with_backend_and_strategy(lfrc_core::Backend::default(), strategy)
     }
@@ -294,7 +291,7 @@ impl<W: DcasWord> LfrcStack<W> {
     /// Paper-faithful push: every pointer read is `LFRCLoad`'s DCAS and
     /// every displaced count is released eagerly. Kept verbatim as the
     /// executable specification the differential harness compares the
-    /// fast strategies against.
+    /// fast path against.
     fn push_dcas(&self, node: Local<LfrcStackNode<W>, W>) {
         loop {
             let head = self.head.load(); // LFRCLoad: DCAS-counted
@@ -366,66 +363,6 @@ impl<W: DcasWord> LfrcStack<W> {
             }
         })
     }
-
-    /// Deferred-**increment** push (DESIGN.md §5.13): the head read is a
-    /// plain load + TLS append, and taking the counted reference our
-    /// node's `next` must own is a plain `fetch_add` — no DCAS and no
-    /// CAS loop anywhere on the read side.
-    fn push_inc(&self, node: Local<LfrcStackNode<W>, W>) {
-        defer::pinned(|pin| loop {
-            let head = self.head.load_counted_inc(pin);
-            match head {
-                Some(h) => {
-                    // Keep a pending handle for the CAS expectation (a
-                    // TLS append), then settle the loaded reference into
-                    // our unpublished node's `next`.
-                    let expected = h.clone();
-                    node.next.store_consume(IncLocal::promote(h));
-                    if self.head.compare_and_set_inc(Some(&expected), Some(&node)) {
-                        // The displaced head unit is grace-retired inside
-                        // `cas_inc` — the property every DeferredInc
-                        // reader of this stack relies on.
-                        return;
-                    }
-                    // Retry: `store_consume` above will eagerly release
-                    // `next`'s stale reference. That release cannot be
-                    // the last unit: the competing swap that beat us
-                    // grace-retired the displaced head unit, and our pin
-                    // (we pinned before reading the head) delays that
-                    // decrement past this whole scope.
-                }
-                None => {
-                    node.next.store(None);
-                    if self.head.compare_and_set_inc(None, Some(&node)) {
-                        return;
-                    }
-                }
-            }
-        })
-    }
-
-    /// Deferred-increment pop (DESIGN.md §5.13). No rc validation and no
-    /// promote-failure path: every object loaded inside the pin is alive
-    /// for the whole pin (the cover-unit argument in `lfrc_core::inc`).
-    fn pop_inc(&self) -> Option<u64> {
-        defer::pinned(|pin| loop {
-            let Some(head) = self.head.load_counted_inc(pin) else {
-                return None; // empty
-            };
-            let value = head.value; // alive for the whole pin
-                                    // `head` cannot be harvested while we are pinned, so its
-                                    // `next` is a genuine link; promote materializes the +1 the
-                                    // head field will own if our CAS wins.
-            let next = head.next.load_counted_inc(pin).map(IncLocal::promote);
-            if self.head.compare_and_set_inc(Some(&head), next.as_ref()) {
-                // The popped node's unit is grace-retired by `cas_inc`.
-                return Some(value);
-            }
-            // Retry: dropping `next` releases its +1 eagerly, which is
-            // safe — the old head's field unit on `next` outlives our pin
-            // (its release is grace-deferred), so the count stays ≥ 1.
-        })
-    }
 }
 
 impl<W: DcasWord> ConcurrentStack for LfrcStack<W> {
@@ -433,8 +370,7 @@ impl<W: DcasWord> ConcurrentStack for LfrcStack<W> {
     /// `DeferredDec`, is the §5.9 fast path: the head is read with a
     /// plain load instead of `LFRCLoad`'s DCAS, and the only count taken
     /// per attempt is the promote that our fresh node's `next` must own.
-    /// `Dcas` is the paper-faithful reference; `DeferredInc` (§5.13)
-    /// removes the promote CAS as well.
+    /// `Dcas` is the paper-faithful reference.
     fn push(&self, value: u64) {
         let node = self.heap.alloc(LfrcStackNode {
             value,
@@ -443,7 +379,6 @@ impl<W: DcasWord> ConcurrentStack for LfrcStack<W> {
         match self.strategy {
             Strategy::Dcas => self.push_dcas(node),
             Strategy::DeferredDec => self.push_dec(node),
-            Strategy::DeferredInc => self.push_inc(node),
         }
     }
 
@@ -453,12 +388,11 @@ impl<W: DcasWord> ConcurrentStack for LfrcStack<W> {
     /// only succeed while the head field still holds `head`, and a
     /// field's own count keeps its referent alive, so success proves
     /// every prior read (immutable `value`, publication-frozen `next`)
-    /// saw a live node. `DeferredInc` drops the remaining DCAS too.
+    /// saw a live node.
     fn pop(&self) -> Option<u64> {
         match self.strategy {
             Strategy::Dcas => self.pop_dcas(),
             Strategy::DeferredDec => self.pop_dec(),
-            Strategy::DeferredInc => self.pop_inc(),
         }
     }
 
@@ -503,9 +437,6 @@ mod tests {
                     }
                     // Explicit: `scope` can return before this thread's
                     // TLS-destructor flush runs, racing the census read.
-                    // Settle first so a (never-expected) increment residue
-                    // cannot hold the advance gate closed either.
-                    lfrc_core::settle_thread();
                     lfrc_core::defer::flush_thread();
                 });
             }
@@ -529,7 +460,6 @@ mod tests {
                             }
                         }
                     }
-                    lfrc_core::settle_thread();
                     lfrc_core::defer::flush_thread();
                 });
             }
@@ -571,18 +501,11 @@ mod tests {
         assert_eq!(census.live(), 0, "LFRC stack leaked nodes");
     }
 
-    /// Drives the collector until the census drains (grace-retired units
-    /// under `Strategy::DeferredInc` release their decrements only after
-    /// epoch advances), with a bound so a regression fails instead of
-    /// hanging.
+    /// Flushes the calling thread's parked decrements, then checks that
+    /// every node was freed.
     #[track_caller]
     fn assert_census_drains(census: &lfrc_core::Census) {
-        let t0 = std::time::Instant::now();
-        while census.live() != 0 && t0.elapsed() < std::time::Duration::from_secs(10) {
-            lfrc_core::defer::flush_thread();
-            lfrc_dcas::quiesce();
-            std::thread::yield_now();
-        }
+        lfrc_core::defer::flush_thread();
         assert_eq!(census.live(), 0, "census did not drain");
     }
 
@@ -601,15 +524,6 @@ mod tests {
             drop(s);
             assert_census_drains(&census);
         }
-    }
-
-    #[test]
-    fn lfrc_stack_deferred_inc_concurrent() {
-        let s: LfrcStack<McasWord> = LfrcStack::with_strategy(Strategy::DeferredInc);
-        let census = std::sync::Arc::clone(s.heap().census());
-        exercise_concurrent(&s, 4, 3_000);
-        drop(s);
-        assert_census_drains(&census);
     }
 
     #[test]

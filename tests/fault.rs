@@ -28,8 +28,7 @@ use std::sync::Arc;
 
 use lfrc_repro::core::defer::{self, Borrowed};
 use lfrc_repro::core::{
-    flush_thread, settle_thread, DcasWord, Heap, IncLocal, Links, LockWord, McasWord, PtrField,
-    SharedField,
+    flush_thread, DcasWord, Heap, Links, LockWord, McasWord, PtrField, SharedField,
 };
 use lfrc_repro::deque::{ConcurrentDeque, LfrcSnarkRepaired};
 #[cfg(feature = "inject")]
@@ -368,104 +367,6 @@ fn crash_sweep_deferred_sites() {
 }
 
 // ---------------------------------------------------------------------------
-// Crash sweep, group 6: the deferred-increment path (DESIGN.md §5.13)
-// ---------------------------------------------------------------------------
-
-/// The deferred-increment workload: pin-scoped `load_counted_inc`,
-/// clone, promote, and `compare_and_set_inc` (which grace-retires the
-/// displaced cover unit), with explicit mid-body and end-of-body
-/// settles. A dead thread's pending increments are settled by its
-/// `SettleGuard` on the crash unwind — never applied to an object the
-/// unwind released — so the leak bound is the same abandoned-operation
-/// bound as the other paths. Grace-retired units destruct only after
-/// the epoch advances, so the census is drained (bounded) before it is
-/// read.
-fn inc_round<W: DcasWord>(policy: &Policy, plan: FaultPlan) -> Observed {
-    let heap: Heap<Node<W>, W> = Heap::new();
-    let census = Arc::clone(heap.census());
-    let trace;
-    {
-        let shared: [SharedField<Node<W>, W>; 2] = [SharedField::null(), SharedField::null()];
-        let seed_node = heap.alloc(node(0));
-        shared[0].store(Some(&seed_node));
-        shared[1].store(Some(&seed_node));
-        drop(seed_node);
-        trace = {
-            let (heap, shared) = (&heap, &shared);
-            let bodies: Vec<Body<'_>> = (0..3u64)
-                .map(|t| {
-                    let body: Body<'_> = Box::new(move || {
-                        let mut held = Vec::new();
-                        for i in 0..3u64 {
-                            let f = &shared[(t + i) as usize % 2];
-                            let fresh = heap.alloc(node(t * 10 + i));
-                            defer::pinned(|pin| match f.load_counted_inc(pin) {
-                                Some(cur) => {
-                                    let keep = cur.clone();
-                                    held.push(IncLocal::promote(cur));
-                                    let _ = f.compare_and_set_inc(
-                                        Some(&keep),
-                                        if i == 2 { None } else { Some(&fresh) },
-                                    );
-                                }
-                                None => {
-                                    let _ = f.compare_and_set_inc(None, Some(&fresh));
-                                }
-                            });
-                            drop(fresh);
-                            if i == 1 {
-                                settle_thread();
-                                defer::flush_thread();
-                            }
-                            held.pop();
-                        }
-                        drop(held);
-                        settle_thread();
-                        defer::flush_thread();
-                    });
-                    body
-                })
-                .collect();
-            Schedule::new().faults(plan).run(policy, bodies)
-        };
-        shared[0].store(None);
-        shared[1].store(None);
-    }
-    settle_thread();
-    flush_thread();
-    // Retired cover units destruct after their grace period; a stranded
-    // object (crashed thread) stays live past the deadline and is
-    // caught by the sweep's leak bound instead.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
-    while census.live() != 0 && std::time::Instant::now() < deadline {
-        flush_thread();
-        lfrc_repro::dcas::quiesce();
-        std::thread::yield_now();
-    }
-    Observed {
-        trace,
-        rc_on_freed: census.rc_on_freed(),
-        live: census.live(),
-    }
-}
-
-#[test]
-fn crash_sweep_deferred_inc_sites() {
-    crash_sweep(
-        &[
-            InstrSite::IncLoad,
-            InstrSite::IncAppend,
-            InstrSite::IncSettle,
-            InstrSite::IncRetire,
-        ],
-        3,
-        24,
-        6,
-        inc_round::<McasWord>,
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Crash sweep, group 3: the Snark deque pause sites
 // ---------------------------------------------------------------------------
 
@@ -612,11 +513,6 @@ fn sweep_groups_cover_every_site() {
         InstrSite::PoolSlabRetire,
         // group 5 (lock)
         InstrSite::LockSpin,
-        // group 6 (deferred-increment)
-        InstrSite::IncLoad,
-        InstrSite::IncAppend,
-        InstrSite::IncSettle,
-        InstrSite::IncRetire,
         // group 7 (descriptor lifetime)
         InstrSite::DescClaim,
         InstrSite::DescSeqBump,
@@ -878,13 +774,6 @@ fn deep_exploration_deferred() {
 fn deep_exploration_deque() {
     explore_and_ship("deep-deque", deep_seeds(), |p| {
         deque_round(p, FaultPlan::new())
-    });
-}
-
-#[test]
-fn deep_exploration_deferred_inc() {
-    explore_and_ship("deep-deferred-inc", deep_seeds(), |p| {
-        inc_round::<McasWord>(p, FaultPlan::new())
     });
 }
 

@@ -289,7 +289,7 @@ fn thread_exit_with_nonempty_buffer_flushes() {
                 stack.pop();
             }
             assert!(
-                lfrc_repro::core::defer::pending_decrements() > 0,
+                lfrc_repro::core::defer::pending() > 0,
                 "test is vacuous: buffer already empty before thread exit"
             );
         })
@@ -316,7 +316,7 @@ fn thread_panic_with_nonempty_buffer_flushes() {
             for _ in 0..8 {
                 stack.pop();
             }
-            assert!(lfrc_repro::core::defer::pending_decrements() > 0);
+            assert!(lfrc_repro::core::defer::pending() > 0);
             // Unwind with the buffer non-empty: the TLS destructor must
             // still flush during thread teardown.
             panic!("deliberate test panic with non-empty decrement buffer");
@@ -331,82 +331,13 @@ fn thread_panic_with_nonempty_buffer_flushes() {
     );
 }
 
-// ---------------------------------------------------------------------
-// Deferred-increment buffers across thread death (DESIGN.md §5.13): a
-// pending increment is pin-scoped state, and an unsettled one holds the
-// epoch-advance gate shut for everyone. A thread that panics inside its
-// pin must have its pending increments settled on the unwind (the
-// pin-exit SettleGuard), so reclamation resumes within bounded time —
-// the TLS-residue footgun the harness runners also guard against by
-// settling explicitly before `thread::scope` returns.
-// ---------------------------------------------------------------------
-
-/// Bounded wait for the census to drain; returns the final live count.
-/// A wedged epoch gate (an increment that was never settled) makes this
-/// hit its deadline and the caller's assertion fail.
-fn drain_census_bounded(census: &lfrc_repro::core::Census) -> u64 {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while census.live() != 0 && std::time::Instant::now() < deadline {
-        lfrc_repro::core::settle_thread();
-        lfrc_repro::core::flush_thread();
-        lfrc_repro::dcas::quiesce();
-        std::thread::yield_now();
-    }
-    census.live()
-}
-
+/// The scoped-thread variant of the TLS-exit residue: `thread::scope`
+/// can return before TLS exit runs, so the harness runner's teardown
+/// flushes every worker's parked decrements explicitly. The census must
+/// read zero right after the runner returns, with no wait.
 #[test]
-fn thread_panic_inside_pin_settles_pending_increments() {
-    use lfrc_repro::core::{defer, Heap, Links, PtrField, SharedField};
-    struct Leaf {
-        #[allow(dead_code)]
-        id: u64,
-    }
-    impl Links<McasWord> for Leaf {
-        fn for_each_link(&self, _f: &mut dyn FnMut(&PtrField<Self, McasWord>)) {}
-    }
-    let heap: Arc<Heap<Leaf, McasWord>> = Arc::new(Heap::new());
-    let census = Arc::clone(heap.census());
-    let root: Arc<SharedField<Leaf, McasWord>> = Arc::new(SharedField::null());
-    let first = heap.alloc(Leaf { id: 1 });
-    root.store(Some(&first));
-    drop(first);
-    let worker = {
-        let root = Arc::clone(&root);
-        std::thread::spawn(move || {
-            defer::pinned(|pin| {
-                let held = root.load_counted_inc(pin).expect("root is set");
-                assert!(
-                    lfrc_repro::core::pending_increments() > 0,
-                    "test is vacuous: no pending increment before the panic"
-                );
-                // Unwind while the increment is still pending: the
-                // SettleGuard must settle it (the IncLocal's cancel)
-                // rather than leave the epoch gate wedged shut.
-                drop(held);
-                panic!("deliberate test panic with a pending increment");
-            })
-        })
-    };
-    assert!(worker.join().is_err(), "worker must have panicked");
-    root.store(None);
-    assert_eq!(
-        drain_census_bounded(&census),
-        0,
-        "a pending increment from the dead thread wedged reclamation"
-    );
-    assert_eq!(census.rc_on_freed(), 0);
-}
-
-/// The scoped-thread variant of the footgun: `thread::scope` can return
-/// before TLS exit runs, so workers settle explicitly — here via the
-/// harness runner, whose teardown settles increments and flushes
-/// decrements on every worker. The census must drain within the bounded
-/// wait right after the runner returns.
-#[test]
-fn harness_runner_settles_increments_before_returning() {
-    use lfrc_repro::core::Strategy;
-    let stack: LfrcStack<McasWord> = LfrcStack::with_strategy(Strategy::DeferredInc);
+fn harness_runner_flushes_decrements_before_returning() {
+    let stack: LfrcStack<McasWord> = LfrcStack::new();
     let census = Arc::clone(stack.heap().census());
     run_ops(4, 256, |t, i| {
         stack.push(t as u64 * 1000 + i);
@@ -416,10 +347,11 @@ fn harness_runner_settles_increments_before_returning() {
     });
     while stack.pop().is_some() {}
     drop(stack);
+    lfrc_repro::core::flush_thread(); // this thread's own pops
     assert_eq!(
-        drain_census_bounded(&census),
+        census.live(),
         0,
-        "worker increments outlived the runner's teardown settle"
+        "worker decrements outlived the runner's teardown flush"
     );
     assert_eq!(census.rc_on_freed(), 0);
 }

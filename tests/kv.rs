@@ -13,14 +13,13 @@
 //!
 //! Safety evidence per explored schedule, as everywhere else in the
 //! suite: zero census canary hits (`rc_on_freed`), zero live objects
-//! once increment buffers settle and the grace period drains.
+//! once decrement buffers flush.
 //!
-//! Crash plans target the **batch-settle site**: `write_batch` applies
-//! every write inside one `defer::pinned` scope, so under
-//! `Strategy::DeferredInc` the pending-increment settle
-//! (`InstrSite::IncSettle`) fires once per batch at pin exit — a thread
-//! dying right there is the worst case for the amortization (a whole
-//! batch's worth of buffered increments in flight at once).
+//! Crash plans target the **promote site inside a batch**: `write_batch`
+//! applies every write inside one `defer::pinned` scope, and each
+//! skip-list write promotes the nodes it links through
+//! (`InstrSite::BorrowPromote`) — a thread dying there holds the batch's
+//! pin, its promoted references and its parked decrements at once.
 //!
 //! A second family races two writers over the **same** few keys on one
 //! shard, under every strategy, and checks each key's acknowledged
@@ -34,7 +33,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use lfrc_repro::core::{Census, McasWord, Strategy};
+use lfrc_repro::core::{flush_thread, Census, McasWord, Strategy};
 use lfrc_repro::kv::{KvConfig, KvStore, KvWrite};
 use lfrc_repro::obs::{Counter, Snapshot};
 use lfrc_sched::{Body, CrashMode, CrashSpec, FaultPlan, InstrSite, Policy, Schedule, Trace};
@@ -45,23 +44,14 @@ const THREADS: usize = 2;
 /// every other test in this binary that writes to a skip list.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Settle pending increments, then flush parked decrements — the
-/// teardown order every DeferredInc thread owes (settling may park
-/// decrements, never the other way).
-fn settle_and_flush() {
-    lfrc_repro::core::settle_thread();
-    lfrc_repro::core::flush_thread();
-}
-
 /// Drains every shard census to quiescence, bounded; returns total
-/// still-live objects. Retired cover units destruct only after the
-/// epoch advances past their grace period, so `live()` is not zero the
-/// instant the store drops.
+/// still-live objects. A crashed body's parked decrements are released
+/// by its thread's exit flush, which can run after `std::thread::scope`
+/// returns, so `live()` may reach zero a moment after the store drops.
 fn drain_censuses(censuses: &[Arc<Census>]) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     while censuses.iter().any(|c| c.live() != 0) && Instant::now() < deadline {
-        settle_and_flush();
-        lfrc_repro::dcas::quiesce();
+        flush_thread();
         std::thread::yield_now();
     }
     censuses.iter().map(|c| c.live()).sum()
@@ -76,8 +66,7 @@ struct Round {
     /// Per-thread count of membership probes that saw the expected
     /// answer (2 each on a fault-free run).
     get_hits: Vec<u64>,
-    /// Live objects after settle + flush + grace drain, summed over
-    /// shards.
+    /// Live objects after flush + drain, summed over shards.
     leaked: u64,
     /// Census canary, summed over shards: rc updates on freed objects.
     rc_on_freed: u64,
@@ -111,9 +100,8 @@ fn kv_race(shards: usize, strategy: Strategy, policy: &Policy, plan: FaultPlan) 
                     // One amortization scope (the reentrant-pin pattern
                     // the kv docs advertise): both batches and the
                     // read-your-writes probes share a single pin window,
-                    // so the settle — and its advance-gate release —
-                    // runs once at this scope's exit. That exit is the
-                    // batch-settle site the crash plans below target.
+                    // inside which the crash plans below kill a writer
+                    // at a promote.
                     let h = lfrc_repro::core::defer::pinned(|_pin| {
                         kv.write_batch(&[
                             KvWrite::Put(base),
@@ -132,7 +120,7 @@ fn kv_race(shards: usize, strategy: Strategy, policy: &Policy, plan: FaultPlan) 
                     });
                     hits[i].store(h, Ordering::SeqCst);
                     // Scheduled bodies must not rely on TLS exit.
-                    settle_and_flush();
+                    flush_thread();
                 });
                 body
             })
@@ -145,7 +133,7 @@ fn kv_race(shards: usize, strategy: Strategy, policy: &Policy, plan: FaultPlan) 
         .map(|s| Arc::clone(kv.shard(s).heap().census()))
         .collect();
     drop(kv);
-    settle_and_flush();
+    flush_thread();
     let leaked = drain_censuses(&censuses);
     Round {
         trace,
@@ -177,21 +165,20 @@ fn assert_round_clean(seed: u64, what: &str, round: &Round) {
     );
     assert_eq!(
         round.leaked, 0,
-        "{what}: leak after settle+drain — replay with LFRC_SCHED_SEED={seed}"
+        "{what}: leak after flush+drain — replay with LFRC_SCHED_SEED={seed}"
     );
 }
 
 /// The acceptance-criteria sweep: ≥5 000 *distinct* seeded schedules of
-/// the 4-shard store under `DeferredInc` (the strategy with the most
-/// yield sites, hence the densest interleaving space), each diffed
-/// against the 1-shard oracle under the same seed.
+/// the 4-shard store under the default `DeferredDec` fast path, each
+/// diffed against the 1-shard oracle under the same seed.
 ///
 /// Set `LFRC_SCHED_SEED=<n>` to replay a single seed with a full event
 /// dump of the sharded schedule instead.
 #[test]
 fn kv_sweep_explores_5k_distinct_schedules() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let strategy = Strategy::DeferredInc;
+    let strategy = Strategy::DeferredDec;
     if let Some(seed) = lfrc_sched::seed_from_env() {
         let sharded = kv_race(4, strategy, &Policy::Random(seed), FaultPlan::new());
         let oracle = kv_race(1, strategy, &Policy::Random(seed), FaultPlan::new());
@@ -241,13 +228,13 @@ fn kv_replay_is_bit_identical() {
     for seed in [5u64, 77, 0xD15C_0B01, 0x5EED_CAFE] {
         let a = kv_race(
             4,
-            Strategy::DeferredInc,
+            Strategy::DeferredDec,
             &Policy::Random(seed),
             FaultPlan::new(),
         );
         let b = kv_race(
             4,
-            Strategy::DeferredInc,
+            Strategy::DeferredDec,
             &Policy::Random(seed),
             FaultPlan::new(),
         );
@@ -264,8 +251,7 @@ fn kv_replay_is_bit_identical() {
 }
 
 /// Every strategy a shard can be built with survives the same scheduled
-/// race (a thinner sweep than the DeferredInc one above — the other
-/// strategies have fewer yield sites, so fewer seeds cover them).
+/// race (a thinner sweep than the DeferredDec one above).
 #[test]
 fn kv_every_strategy_survives_scheduled_races() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -277,20 +263,20 @@ fn kv_every_strategy_survives_scheduled_races() {
     }
 }
 
-/// Crash plans at the batch-settle site: the body's batch scope buffers
-/// pending increments under one pin, and `InstrSite::IncSettle` fires
-/// exactly once when that scope settles (releasing the epoch-advance
-/// gate) — a thread dying right there (stalled forever or panicked)
-/// must never corrupt a count. The final key set cannot be asserted on
-/// a crashed run (the dead thread's writes are legitimately lost
+/// Crash plans at the promote site inside a batch: every skip-list
+/// write in the body's batch scope promotes the nodes it links through
+/// under the batch's one pin, and a thread dying between reading a
+/// node's count and taking its own (stalled forever or panicked) must
+/// never corrupt a count. The final key set cannot be asserted on a
+/// crashed run (the dead thread's writes are legitimately lost
 /// mid-batch), so the assertions are safety-only: zero canary hits and
 /// a bounded strand.
 #[test]
-fn kv_crash_plans_at_batch_settle_site() {
+fn kv_crash_plans_at_batch_promote_site() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A crashed thread strands at most its in-flight batch: up to 4
-    // skip-list nodes (tower + payload) plus the cover units its pinned
-    // epoch was holding back.
+    // skip-list nodes (tower + payload) plus the decrements its buffer
+    // had parked.
     const LEAK_BOUND: u64 = 16;
     for mode in [CrashMode::Stall, CrashMode::Panic] {
         let mut fired = false;
@@ -298,25 +284,22 @@ fn kv_crash_plans_at_batch_settle_site() {
             for t in 0..THREADS {
                 let plan = FaultPlan::new().crash(CrashSpec {
                     thread: t,
-                    site: Some(InstrSite::IncSettle),
+                    site: Some(InstrSite::BorrowPromote),
                     skip: 0,
                     mode,
                 });
-                let round = kv_race(4, Strategy::DeferredInc, &Policy::Random(seed), plan);
-                assert_eq!(
-                    round.rc_on_freed, 0,
-                    "IncSettle / {mode:?} / t{t} / seed {seed}: rc update on freed object"
-                );
+                let round = kv_race(4, Strategy::DeferredDec, &Policy::Random(seed), plan);
+                let what = format!("BorrowPromote / {mode:?} / t{t} / seed {seed}");
+                assert_eq!(round.rc_on_freed, 0, "{what}: rc update on freed object");
                 assert!(
                     round.leaked <= LEAK_BOUND,
-                    "IncSettle / {mode:?} / t{t} / seed {seed}: {} live objects exceed the \
-                     failed-thread bound of {LEAK_BOUND}",
+                    "{what}: {} live objects exceed the failed-thread bound of {LEAK_BOUND}",
                     round.leaked
                 );
                 if let Some(c) = round.trace.crashes.first() {
                     assert_eq!(
                         c.site,
-                        InstrSite::IncSettle,
+                        InstrSite::BorrowPromote,
                         "crash fired at the wrong site"
                     );
                     assert_eq!(c.mode, mode);
@@ -327,7 +310,7 @@ fn kv_crash_plans_at_batch_settle_site() {
         }
         assert!(
             fired,
-            "no workload reached IncSettle ({mode:?}) — batch-settle coverage lost"
+            "no batch reached BorrowPromote ({mode:?}) — batch crash coverage lost"
         );
     }
 }
@@ -387,7 +370,7 @@ fn same_key_race(strategy: Strategy, policy: &Policy, plan: FaultPlan) -> SameKe
                             slot.fetch_sub(1, Ordering::SeqCst);
                         }
                     }
-                    settle_and_flush();
+                    flush_thread();
                 });
                 body
             })
@@ -398,7 +381,7 @@ fn same_key_race(strategy: Strategy, policy: &Policy, plan: FaultPlan) -> SameKe
     let present = SAME_KEYS.iter().map(|&k| kv.get(k)).collect();
     let census = Arc::clone(kv.shard(0).heap().census());
     drop(kv);
-    settle_and_flush();
+    flush_thread();
     let leaked = drain_censuses(std::slice::from_ref(&census));
     SameKeyRound {
         trace,
@@ -412,7 +395,7 @@ fn same_key_race(strategy: Strategy, policy: &Policy, plan: FaultPlan) -> SameKe
 
 /// Same-key writer races under every strategy: ≥2 000 distinct
 /// schedules under the default `DeferredDec` (whose promotes can fail
-/// and restart the descent), ≥200 each under `Dcas` and `DeferredInc`.
+/// and restart the descent), ≥200 under `Dcas`.
 /// Per key, the acknowledged writes must account for the final
 /// presence: `initially present + successful puts − successful deletes
 /// ∈ {0, 1}` and equal to whether the key is present. Every round must
@@ -425,11 +408,7 @@ fn same_key_race(strategy: Strategy, policy: &Policy, plan: FaultPlan) -> SameKe
 #[test]
 fn kv_same_key_writer_races_under_every_strategy() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    for (strategy, target) in [
-        (Strategy::DeferredDec, 2_000usize),
-        (Strategy::Dcas, 200),
-        (Strategy::DeferredInc, 200),
-    ] {
+    for (strategy, target) in [(Strategy::DeferredDec, 2_000usize), (Strategy::Dcas, 200)] {
         let mut hashes = HashSet::new();
         let mut promote_fails = 0u64;
         let mut seed = 0u64;
@@ -455,7 +434,7 @@ fn kv_same_key_writer_races_under_every_strategy() {
                 );
             }
             assert_eq!(round.rc_on_freed, 0, "{what}: rc update on freed object");
-            assert_eq!(round.leaked, 0, "{what}: leak after settle+drain");
+            assert_eq!(round.leaked, 0, "{what}: leak after flush+drain");
             promote_fails += round.promote_fails;
             hashes.insert(round.trace.hash);
             seed += 1;

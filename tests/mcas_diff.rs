@@ -42,17 +42,12 @@ use lfrc_sched::{Body, CrashMode, CrashSpec, FaultPlan, InstrSite, Policy, Sched
 /// Sentinel for "this popper got nothing".
 const NONE: u64 = u64::MAX;
 
-fn settle_and_flush() {
-    lfrc_repro::core::settle_thread();
-    lfrc_repro::core::flush_thread();
-}
-
 /// Drains the census to quiescence, bounded: retired nodes free only
 /// after the epoch advances past their grace period.
 fn drain_census(census: &Census) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     while census.live() != 0 && Instant::now() < deadline {
-        settle_and_flush();
+        lfrc_repro::core::flush_thread();
         lfrc_repro::dcas::quiesce();
         std::thread::yield_now();
     }
@@ -87,11 +82,11 @@ fn stack_race<W: DcasWord>(policy: &Policy, plan: FaultPlan) -> Round {
                     if let Some(v) = st.pop() {
                         got[2 * i].store(v, Ordering::SeqCst);
                     }
-                    settle_and_flush();
+                    lfrc_repro::core::flush_thread();
                     if let Some(v) = st.pop() {
                         got[2 * i + 1].store(v, Ordering::SeqCst);
                     }
-                    settle_and_flush();
+                    lfrc_repro::core::flush_thread();
                 });
                 body
             })
@@ -109,7 +104,7 @@ fn stack_race<W: DcasWord>(policy: &Policy, plan: FaultPlan) -> Round {
     values.sort_unstable();
     let census = Arc::clone(st.heap().census());
     drop(st);
-    settle_and_flush();
+    lfrc_repro::core::flush_thread();
     let leaked = drain_census(&census);
     Round {
         trace,
@@ -135,11 +130,11 @@ fn queue_race<W: DcasWord>(policy: &Policy, plan: FaultPlan) -> Round {
                     if let Some(v) = q.dequeue() {
                         got[2 * i].store(v, Ordering::SeqCst);
                     }
-                    settle_and_flush();
+                    lfrc_repro::core::flush_thread();
                     if let Some(v) = q.dequeue() {
                         got[2 * i + 1].store(v, Ordering::SeqCst);
                     }
-                    settle_and_flush();
+                    lfrc_repro::core::flush_thread();
                 });
                 body
             })
@@ -157,7 +152,7 @@ fn queue_race<W: DcasWord>(policy: &Policy, plan: FaultPlan) -> Round {
     values.sort_unstable();
     let census = Arc::clone(q.heap().census());
     drop(q);
-    settle_and_flush();
+    lfrc_repro::core::flush_thread();
     let leaked = drain_census(&census);
     Round {
         trace,

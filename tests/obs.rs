@@ -327,7 +327,7 @@ fn prometheus_export_carries_all_counters() {
 }
 
 /// The skip-list writer fast path, pinned by counters: sequential puts
-/// then deletes on a 4-shard store. Under both fast strategies a writer
+/// then deletes on a 4-shard store. On the `DeferredDec` fast path a writer
 /// makes one uncounted descent and counts only what it links through —
 /// a pred and a succ per linked level — so it makes no `LFRCLoad` DCAS
 /// at all and about `2 × tower height` promotes per op (mean height 2 at
@@ -365,7 +365,6 @@ fn kv_writers_skip_counted_loads_on_fast_strategies() {
             );
         }
         assert!(kv.is_empty());
-        lfrc_repro::core::settle_thread();
         lfrc_repro::core::flush_thread();
     }
 }

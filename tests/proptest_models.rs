@@ -513,131 +513,6 @@ fn deferred_rc_invariant_under_explored_schedules_lock() {
     deferred_rc_invariant_under_explored_schedules::<LockWord>(0..600);
 }
 
-/// The deferred-**increment** analogue (DESIGN.md §5.13): three logical
-/// threads race pin-scoped counted loads that buffer a pending `+1`
-/// instead of DCASing it ([`PtrField::load_counted_inc`]), clones,
-/// promotions ([`IncLocal::promote`], which annihilates against a parked
-/// decrement or materializes the increment), and
-/// [`PtrField::compare_and_set_inc`] swings whose displaced cover units
-/// are grace-retired — so the new `IncLoad`, `IncAppend`, `IncSettle`
-/// and `IncRetire` windows interleave with destroys and the epoch gate
-/// in every explored order.
-///
-/// One branch deliberately `mem::forget`s an `IncLocal` inside the pin:
-/// its pending entry must be settled **by discard** by the pin-exit
-/// [`SettleGuard`](lfrc_core::inc) rather than applied (it never
-/// justified a count) or leaked (it would wedge the epoch gate shut).
-///
-/// After settle + flush + the retire grace period drains, the weakened
-/// invariant must again have cost nothing: **zero live objects** and
-/// **zero canary hits**.
-fn deferred_inc_rc_invariant_under_explored_schedules<W: DcasWord>(seeds: std::ops::Range<u64>) {
-    use lfrc_repro::core::defer;
-    use lfrc_repro::core::{settle_thread, IncLocal};
-    for seed in seeds {
-        let heap: Heap<SchedNode<W>, W> = Heap::new();
-        let census = Arc::clone(heap.census());
-        {
-            let shared: [SharedField<SchedNode<W>, W>; 2] =
-                [SharedField::null(), SharedField::null()];
-            let seed_node = heap.alloc(SchedNode {
-                id: 0,
-                next: PtrField::null(),
-            });
-            shared[0].store(Some(&seed_node));
-            shared[1].store(Some(&seed_node));
-            drop(seed_node);
-
-            {
-                let (heap, shared) = (&heap, &shared);
-                let bodies: Vec<Body<'_>> = (0..3u64)
-                    .map(|t| {
-                        let body: Body<'_> = Box::new(move || {
-                            let mut held = Vec::new();
-                            for i in 0..3u64 {
-                                let f = &shared[(t + i) as usize % 2];
-                                let fresh = heap.alloc(SchedNode {
-                                    id: t * 10 + i,
-                                    next: PtrField::null(),
-                                });
-                                defer::pinned(|pin| match f.load_counted_inc(pin) {
-                                    Some(cur) => {
-                                        let keep = cur.clone();
-                                        if i == 0 {
-                                            // Leak a pending increment:
-                                            // the SettleGuard settles it
-                                            // by discard at pin exit.
-                                            std::mem::forget(cur.clone());
-                                        }
-                                        // Promote outlives the pin; the
-                                        // clone anchors the CAS expected.
-                                        held.push(IncLocal::promote(cur));
-                                        let _ = f.compare_and_set_inc(
-                                            Some(&keep),
-                                            if i == 2 { None } else { Some(&fresh) },
-                                        );
-                                    }
-                                    None => {
-                                        let _ = f.compare_and_set_inc(None, Some(&fresh));
-                                    }
-                                });
-                                drop(fresh);
-                                if i == 1 {
-                                    // Mid-body settle: the epoch gate
-                                    // reopens while the other threads
-                                    // still hold pending increments.
-                                    settle_thread();
-                                    defer::flush_thread();
-                                }
-                                held.pop();
-                            }
-                            drop(held);
-                            settle_thread();
-                            defer::flush_thread();
-                        });
-                        body
-                    })
-                    .collect();
-                Schedule::new().run(&Policy::Random(seed), bodies);
-            }
-            shared[0].store(None);
-            shared[1].store(None);
-        }
-        lfrc_repro::core::settle_thread();
-        defer::flush_thread();
-        // Grace-retired cover units destruct only after the epoch
-        // advances past them; drain (bounded) before reading the census.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while census.live() != 0 && std::time::Instant::now() < deadline {
-            defer::flush_thread();
-            lfrc_repro::dcas::quiesce();
-            std::thread::yield_now();
-        }
-        assert_eq!(
-            census.live(),
-            0,
-            "{}: live objects leaked on the deferred-inc path — replay with LFRC_SCHED_SEED={seed}",
-            W::strategy_name()
-        );
-        assert_eq!(
-            census.rc_on_freed(),
-            0,
-            "{}: canary hit on the deferred-inc path — replay with LFRC_SCHED_SEED={seed}",
-            W::strategy_name()
-        );
-    }
-}
-
-#[test]
-fn deferred_inc_rc_invariant_under_explored_schedules_mcas() {
-    deferred_inc_rc_invariant_under_explored_schedules::<McasWord>(0..600);
-}
-
-#[test]
-fn deferred_inc_rc_invariant_under_explored_schedules_lock() {
-    deferred_inc_rc_invariant_under_explored_schedules::<LockWord>(0..600);
-}
-
 // ---------------------------------------------------------------------------
 // Extension structures: ordered set vs BTreeSet, LL/SC stack vs Vec
 // ---------------------------------------------------------------------------
@@ -705,17 +580,8 @@ fn skiplist_matches_btreeset() {
             }
             assert_eq!(set.len(), model.len());
             drop(set);
-            // Settle and drain before the census check, as
-            // `lfrc_skiplist_every_strategy_sequential` does: under
-            // `DeferredInc` a displaced unit is released only after its
-            // grace period.
-            lfrc_repro::core::settle_thread();
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while census.live() != 0 && std::time::Instant::now() < deadline {
-                lfrc_repro::core::flush_thread();
-                lfrc_repro::dcas::quiesce();
-                std::thread::yield_now();
-            }
+            // Parked decrements release at the flush.
+            lfrc_repro::core::flush_thread();
             assert_eq!(census.live(), 0, "{strategy}: skip list leaked");
         });
     }
