@@ -1,19 +1,15 @@
 //! Bench companion to experiment E12 (slab-pooled allocation,
-//! DESIGN.md §5.11): node-churn throughput with the pooled vs global
-//! allocation backend, plus the pool's slab footprint over a
-//! grow-then-shrink cycle.
+//! DESIGN.md §5.11): node-churn throughput on the pool, plus the pool's
+//! slab footprint over a grow-then-shrink cycle.
 //!
 //! Three layers of measurement:
 //!
-//! 1. Minibench micro-costs — a single alloc+free round trip through a
-//!    `Heap` on each backend.
-//! 2. A multi-thread churn sweep (1–8 threads) over the Treiber stack
-//!    and the Michael–Scott queue: every operation pair allocates and
-//!    frees one node, so throughput tracks allocator cost directly.
-//!    The ISSUE acceptance bar is pooled ≥1.5× the no-pool build at 4+
-//!    threads; results are recorded in `experiment-results/e12_pool.txt`
-//!    from two runs of this bench (`--features pool` and
-//!    `--no-default-features --features obs`).
+//! 1. Minibench micro-cost — a single alloc+free round trip through a
+//!    `Heap`.
+//! 2. A multi-thread churn sweep (1–8 threads) over a bare `Heap`, the
+//!    Treiber stack and the Michael–Scott queue: every operation pair
+//!    allocates and frees one node, so throughput tracks allocator cost
+//!    directly.
 //! 3. A footprint trace: grow a large live set, free it, and report
 //!    `slabs_live` returning to (near) its baseline.
 
@@ -23,7 +19,7 @@ use std::sync::Barrier;
 use std::time::Duration;
 
 use lfrc_bench::Minibench;
-use lfrc_core::{defer, Backend, Heap, Links, McasWord, PtrField};
+use lfrc_core::{defer, Heap, Links, McasWord, PtrField};
 use lfrc_structures::{ConcurrentQueue, ConcurrentStack, LfrcQueue, LfrcStack};
 
 struct Leaf {
@@ -71,9 +67,8 @@ fn churn_mops(threads: usize, window: Duration, op: impl Fn(usize, &mut u64) -> 
 
 /// Pure allocator churn: each worker alloc+drops nodes on its own heap.
 /// No structure on top, so this row isolates the allocation path itself.
-fn heap_churn(backend: Backend, threads: usize, window: Duration) -> f64 {
-    let heaps: Vec<Heap<Leaf, McasWord>> =
-        (0..threads).map(|_| Heap::with_backend(backend)).collect();
+fn heap_churn(threads: usize, window: Duration) -> f64 {
+    let heaps: Vec<Heap<Leaf, McasWord>> = (0..threads).map(|_| Heap::new()).collect();
     let mops = churn_mops(threads, window, |t, x| {
         *x ^= *x << 13;
         *x ^= *x >> 7;
@@ -85,10 +80,8 @@ fn heap_churn(backend: Backend, threads: usize, window: Duration) -> f64 {
     mops
 }
 
-fn stack_churn(backend: Backend, threads: usize, window: Duration) -> f64 {
-    let stacks: Vec<_> = (0..threads)
-        .map(|_| LfrcStack::<McasWord>::with_backend(backend))
-        .collect();
+fn stack_churn(threads: usize, window: Duration) -> f64 {
+    let stacks: Vec<_> = (0..threads).map(|_| LfrcStack::<McasWord>::new()).collect();
     let mops = churn_mops(threads, window, |t, x| {
         *x ^= *x << 13;
         *x ^= *x >> 7;
@@ -104,10 +97,8 @@ fn stack_churn(backend: Backend, threads: usize, window: Duration) -> f64 {
     mops
 }
 
-fn queue_churn(backend: Backend, threads: usize, window: Duration) -> f64 {
-    let queues: Vec<_> = (0..threads)
-        .map(|_| LfrcQueue::<McasWord>::with_backend(backend))
-        .collect();
+fn queue_churn(threads: usize, window: Duration) -> f64 {
+    let queues: Vec<_> = (0..threads).map(|_| LfrcQueue::<McasWord>::new()).collect();
     let mops = churn_mops(threads, window, |t, x| {
         *x ^= *x << 13;
         *x ^= *x >> 7;
@@ -125,19 +116,15 @@ fn queue_churn(backend: Backend, threads: usize, window: Duration) -> f64 {
 
 fn main() {
     let mut c = Minibench::from_args();
-    let pool_on = lfrc_pool::enabled();
-    println!("pool feature: {}", if pool_on { "on" } else { "off" });
 
-    // Layer 1: the raw alloc+free round trip per backend.
-    for backend in [Backend::Pooled, Backend::Global] {
-        let heap: Heap<Leaf, McasWord> = Heap::with_backend(backend);
-        let mut g = c.group("e12/alloc_free");
-        g.bench_function(format!("{backend:?}").to_lowercase(), || {
-            black_box(heap.alloc(Leaf { n: 7 }));
-        });
-        g.finish();
-        defer::flush_thread();
-    }
+    // Layer 1: the raw alloc+free round trip.
+    let heap: Heap<Leaf, McasWord> = Heap::new();
+    let mut g = c.group("e12/alloc_free");
+    g.bench_function("pooled", || {
+        black_box(heap.alloc(Leaf { n: 7 }));
+    });
+    g.finish();
+    defer::flush_thread();
 
     // Layer 2: churn throughput, 1–8 threads. `E12_WINDOW_MS` trades
     // run time for stability (CI smoke shortens it, recorded runs
@@ -152,77 +139,53 @@ fn main() {
         "e12 node-churn throughput (push+pop / enqueue+dequeue pairs, {}ms window)",
         window.as_millis()
     );
-    println!(
-        "{:>8} {:>8} {:>16} {:>16} {:>8}",
-        "struct", "threads", "pooled Mops/s", "global Mops/s", "ratio"
-    );
-    for threads in [1usize, 2, 4, 8] {
-        let pooled = heap_churn(Backend::Pooled, threads, window);
-        let global = heap_churn(Backend::Global, threads, window);
-        println!(
-            "{:>8} {threads:>8} {pooled:>16.2} {global:>16.2} {:>7.2}x",
-            "heap",
-            pooled / global
-        );
-    }
-    for threads in [1usize, 2, 4, 8] {
-        let pooled = stack_churn(Backend::Pooled, threads, window);
-        let global = stack_churn(Backend::Global, threads, window);
-        println!(
-            "{:>8} {threads:>8} {pooled:>16.2} {global:>16.2} {:>7.2}x",
-            "stack",
-            pooled / global
-        );
-    }
-    for threads in [1usize, 2, 4, 8] {
-        let pooled = queue_churn(Backend::Pooled, threads, window);
-        let global = queue_churn(Backend::Global, threads, window);
-        println!(
-            "{:>8} {threads:>8} {pooled:>16.2} {global:>16.2} {:>7.2}x",
-            "queue",
-            pooled / global
-        );
+    println!("{:>8} {:>8} {:>16}", "struct", "threads", "pooled Mops/s");
+    for (name, churn) in [
+        ("heap", heap_churn as fn(usize, Duration) -> f64),
+        ("stack", stack_churn),
+        ("queue", queue_churn),
+    ] {
+        for threads in [1usize, 2, 4, 8] {
+            println!("{name:>8} {threads:>8} {:>16.2}", churn(threads, window));
+        }
     }
 
     // Layer 3: footprint over grow-then-shrink.
-    if pool_on {
-        let base = lfrc_pool::stats();
-        let heap: Heap<Leaf, McasWord> = Heap::new();
-        let nodes: Vec<_> = (0..200_000).map(|i| heap.alloc(Leaf { n: i })).collect();
-        let grown = lfrc_pool::stats();
-        drop(nodes);
-        defer::flush_thread();
-        lfrc_dcas::quiesce();
-        lfrc_pool::flush_magazines();
-        lfrc_dcas::quiesce();
-        lfrc_pool::flush_magazines();
-        lfrc_dcas::quiesce();
-        let shrunk = lfrc_pool::stats();
-        println!();
-        println!("e12 slab footprint over grow-then-shrink (200k nodes)");
+    let base = lfrc_pool::stats();
+    let nodes: Vec<_> = (0..200_000).map(|i| heap.alloc(Leaf { n: i })).collect();
+    let grown = lfrc_pool::stats();
+    drop(nodes);
+    defer::flush_thread();
+    lfrc_dcas::quiesce();
+    lfrc_pool::flush_magazines();
+    lfrc_dcas::quiesce();
+    lfrc_pool::flush_magazines();
+    lfrc_dcas::quiesce();
+    let shrunk = lfrc_pool::stats();
+    println!();
+    println!("e12 slab footprint over grow-then-shrink (200k nodes)");
+    println!(
+        "{:>10} {:>12} {:>14} {:>14}",
+        "phase", "slabs_live", "bytes_mapped", "slabs_released"
+    );
+    for (phase, s) in [("baseline", &base), ("grown", &grown), ("shrunk", &shrunk)] {
         println!(
-            "{:>10} {:>12} {:>14} {:>14}",
-            "phase", "slabs_live", "bytes_mapped", "slabs_released"
+            "{phase:>10} {:>12} {:>14} {:>14}",
+            s.slabs_live, s.bytes_mapped, s.slabs_released
         );
-        for (phase, s) in [("baseline", &base), ("grown", &grown), ("shrunk", &shrunk)] {
-            println!(
-                "{phase:>10} {:>12} {:>14} {:>14}",
-                s.slabs_live, s.bytes_mapped, s.slabs_released
-            );
-        }
+    }
 
-        let hits = lfrc_obs::counters::total(lfrc_obs::Counter::PoolMagazineHit);
-        let misses = lfrc_obs::counters::total(lfrc_obs::Counter::PoolMagazineMiss);
-        if hits + misses > 0 {
-            println!();
-            println!(
-                "magazine hit rate: {:.2}% ({hits} hits / {misses} misses); \
-                 remote frees: {}; slabs alloc/retire: {}/{}",
-                100.0 * hits as f64 / (hits + misses) as f64,
-                lfrc_obs::counters::total(lfrc_obs::Counter::PoolRemoteFree),
-                lfrc_obs::counters::total(lfrc_obs::Counter::PoolSlabAlloc),
-                lfrc_obs::counters::total(lfrc_obs::Counter::PoolSlabRetire),
-            );
-        }
+    let hits = lfrc_obs::counters::total(lfrc_obs::Counter::PoolMagazineHit);
+    let misses = lfrc_obs::counters::total(lfrc_obs::Counter::PoolMagazineMiss);
+    if hits + misses > 0 {
+        println!();
+        println!(
+            "magazine hit rate: {:.2}% ({hits} hits / {misses} misses); \
+             remote frees: {}; slabs alloc/retire: {}/{}",
+            100.0 * hits as f64 / (hits + misses) as f64,
+            lfrc_obs::counters::total(lfrc_obs::Counter::PoolRemoteFree),
+            lfrc_obs::counters::total(lfrc_obs::Counter::PoolSlabAlloc),
+            lfrc_obs::counters::total(lfrc_obs::Counter::PoolSlabRetire),
+        );
     }
 }

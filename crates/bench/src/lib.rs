@@ -71,8 +71,7 @@ pub fn queue_suite() -> Vec<Box<dyn ConcurrentQueue>> {
 
 /// Measures the average nanoseconds per call of `f` over `iters`
 /// iterations (single warmup pass included). Simple, deterministic, and
-/// sufficient for the relative comparisons the experiment tables make;
-/// the [`minibench`] bench targets cover the multi-sample variant.
+/// sufficient for the relative comparisons the experiment tables make.
 pub fn ns_per_op(iters: u64, mut f: impl FnMut()) -> f64 {
     for _ in 0..iters / 10 + 1 {
         f(); // warmup

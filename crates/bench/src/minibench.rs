@@ -7,7 +7,6 @@
 //! line per measurement) and reports the median ns/op across several
 //! samples, which is all the experiment tables consume.
 
-use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Target measurement time per sample. Short, because `cargo bench` in
@@ -59,42 +58,6 @@ impl Group<'_> {
         samples.sort_by(|a, b| a.total_cmp(b));
         println!(
             "{label:<48} {:>12.1} ns/op   ({:.1} .. {:.1}, {iters} iters x {SAMPLES})",
-            samples[SAMPLES / 2],
-            samples[0],
-            samples[SAMPLES - 1],
-        );
-    }
-
-    /// Times `routine` on a fresh `setup()` value per iteration (mirrors
-    /// `Bencher::iter_batched(_, _, BatchSize::PerIteration)`); setup
-    /// time is excluded from the measurement.
-    pub fn bench_batched<T>(
-        &mut self,
-        name: impl Into<String>,
-        mut setup: impl FnMut() -> T,
-        mut routine: impl FnMut(T),
-    ) {
-        let label = format!("{}/{}", self.name, name.into());
-        if !self.bench.matches(&label) {
-            return;
-        }
-        // Batched routines are assumed expensive (they get fresh state
-        // every iteration); measure a fixed small iteration count.
-        const ITERS: u64 = 10;
-        let mut samples = [0f64; SAMPLES];
-        for s in samples.iter_mut() {
-            let mut total = Duration::ZERO;
-            for _ in 0..ITERS {
-                let input = setup();
-                let start = Instant::now();
-                routine(black_box(input));
-                total += start.elapsed();
-            }
-            *s = total.as_nanos() as f64 / ITERS as f64;
-        }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        println!(
-            "{label:<48} {:>12.1} ns/op   ({:.1} .. {:.1}, {ITERS} iters x {SAMPLES})",
             samples[SAMPLES / 2],
             samples[0],
             samples[SAMPLES - 1],
@@ -156,23 +119,5 @@ mod tests {
         }
         assert!(ran_hit);
         assert!(!ran_miss);
-    }
-
-    #[test]
-    fn batched_runs_setup_per_iteration() {
-        let mut mb = Minibench { filter: None };
-        let mut setups = 0u64;
-        let mut runs = 0u64;
-        let mut g = mb.group("t");
-        g.bench_batched(
-            "b",
-            || {
-                setups += 1;
-                setups
-            },
-            |_| runs += 1,
-        );
-        assert_eq!(setups, runs);
-        assert!(runs > 0);
     }
 }

@@ -106,7 +106,7 @@ pub use destroy::{Backlog, StepStats};
 pub use diag::Census;
 pub use llsc::LinkedPtrField;
 pub use local::Local;
-pub use object::{Backend, Heap, LfrcBox, Links, PtrField};
+pub use object::{Heap, LfrcBox, Links, PtrField};
 pub use shared::SharedField;
 pub use strategy::Strategy;
 

@@ -297,34 +297,19 @@ impl<T: Links<W>, W: DcasWord> PtrField<T, W> {
     }
 }
 
-/// Which allocator a [`Heap`] draws nodes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The `lfrc-pool` slab allocator: per-thread magazines, epoch-gated
-    /// slab retirement. Falls back to the global allocator *per object*
-    /// whenever the pool declines a layout (node bigger than
-    /// `lfrc_pool::MAX_ALLOC`, alignment above 64, or the `pool` feature
-    /// off), so the choice never changes observable behaviour.
-    #[default]
-    Pooled,
-    /// The global allocator, always — the benchmark baseline.
-    Global,
-}
-
 /// An allocator of LFRC objects of one node type, with census attached.
 ///
 /// Lock-free structures own a `Heap` and allocate nodes from it; the heap
 /// imposes **no freelist and no type-stable-memory restriction** — nodes
 /// come back to the allocator the moment their count hits zero (plus the
 /// emulator's grace period), which is precisely the property the paper
-/// contrasts against Valois' scheme (§1). By default nodes are served
-/// from the `lfrc-pool` slab allocator ([`Backend::Pooled`]); that pool
-/// returns whole slabs to the OS once they empty, so it is a cache, not
-/// a type-stable freelist — and [`Backend::Global`] remains available as
-/// the ablation baseline (experiment E12).
+/// contrasts against Valois' scheme (§1). Nodes are served from the
+/// `lfrc-pool` slab allocator, which returns whole slabs to the OS once
+/// they empty, so it is a cache, not a type-stable freelist. A node the
+/// pool declines (bigger than `lfrc_pool::MAX_ALLOC`, alignment above 64,
+/// or an injected refusal) gets its own `Box` instead.
 pub struct Heap<T: Links<W>, W: DcasWord> {
     census: Arc<Census>,
-    backend: Backend,
     _marker: PhantomData<fn() -> (T, W)>,
 }
 
@@ -346,36 +331,16 @@ impl<T: Links<W>, W: DcasWord> Clone for Heap<T, W> {
     fn clone(&self) -> Self {
         Heap {
             census: Arc::clone(&self.census),
-            backend: self.backend,
             _marker: PhantomData,
         }
     }
 }
 
 impl<T: Links<W>, W: DcasWord> Heap<T, W> {
-    /// Creates a heap with a fresh census, drawing from the default
-    /// [`Backend::Pooled`].
+    /// Creates a heap with a fresh census.
     pub fn new() -> Self {
-        Self::with_census(Arc::new(Census::new()))
-    }
-
-    /// Creates a heap with a fresh census and an explicit backend — the
-    /// benchmark A/B switch.
-    pub fn with_backend(backend: Backend) -> Self {
-        Self::with_census_and_backend(Arc::new(Census::new()), backend)
-    }
-
-    /// Creates a heap that reports into an existing census.
-    pub fn with_census(census: Arc<Census>) -> Self {
-        Self::with_census_and_backend(census, Backend::default())
-    }
-
-    /// Creates a heap with both an existing census and an explicit
-    /// backend.
-    pub fn with_census_and_backend(census: Arc<Census>, backend: Backend) -> Self {
         Heap {
-            census,
-            backend,
+            census: Arc::new(Census::new()),
             _marker: PhantomData,
         }
     }
@@ -383,11 +348,6 @@ impl<T: Links<W>, W: DcasWord> Heap<T, W> {
     /// The census this heap reports into.
     pub fn census(&self) -> &Arc<Census> {
         &self.census
-    }
-
-    /// The backend this heap draws nodes from.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Allocates a new object with reference count 1 (paper step 1: "this
@@ -407,18 +367,15 @@ impl<T: Links<W>, W: DcasWord> Heap<T, W> {
     /// Fallible [`Heap::alloc`]: returns the value back as `Err` when the
     /// allocation cannot be satisfied.
     ///
-    /// The pooled backend degrades before failing — a refused pool slot
-    /// falls back to the global allocator, and only a refused global
-    /// allocation is an error. Without the `inject` feature the global
-    /// allocator never refuses (real exhaustion aborts the process, as
-    /// with `Box::new`), so `Err` is unreachable in production builds.
+    /// A refused pool slot falls back to the global allocator, and only
+    /// a refused global allocation is an error. Without the `inject`
+    /// feature the global allocator never refuses (real exhaustion aborts
+    /// the process, as with `Box::new`), so `Err` is unreachable in
+    /// production builds.
     pub fn try_alloc(&self, value: T) -> Result<Local<T, W>, T> {
-        let raw = match self.backend {
-            Backend::Pooled => match self.alloc_pooled(value) {
-                Ok(raw) => raw,
-                Err(value) => self.try_alloc_global(value)?,
-            },
-            Backend::Global => self.try_alloc_global(value)?,
+        let raw = match self.alloc_pooled(value) {
+            Ok(raw) => raw,
+            Err(value) => self.try_alloc_global(value)?,
         };
         self.census.note_alloc(std::mem::size_of::<LfrcBox<T, W>>());
         lfrc_obs::recorder::record(lfrc_obs::EventKind::Alloc, raw as usize, 1);
@@ -452,22 +409,20 @@ impl<T: Links<W>, W: DcasWord> Heap<T, W> {
         Ok(raw)
     }
 
+    /// Places `value` in its own `Box`: the path for layouts the pool
+    /// declines and for injected pool refusals.
     fn try_alloc_global(&self, value: T) -> Result<*mut LfrcBox<T, W>, T> {
         if !instrument::alloc_allowed(instrument::AllocSite::HeapGlobal) {
             return Err(value);
         }
-        Ok(self.alloc_global(value))
-    }
-
-    fn alloc_global(&self, value: T) -> *mut LfrcBox<T, W> {
-        Box::into_raw(Box::new(LfrcBox {
+        Ok(Box::into_raw(Box::new(LfrcBox {
             rc: W::new(1),
             canary: AtomicU64::new(CANARY_ALIVE),
             backlog_next: AtomicUsize::new(0),
             pooled: false,
             census: Arc::clone(&self.census),
             value,
-        }))
+        })))
     }
 }
 
@@ -555,45 +510,59 @@ mod tests {
         }
     }
 
+    /// Too big for any pool size class, so its heap falls back to `Box`.
+    struct Big {
+        #[allow(dead_code)]
+        pad: [u8; lfrc_pool::MAX_ALLOC],
+    }
+
+    impl Links<McasWord> for Big {
+        fn for_each_link(&self, _f: &mut dyn FnMut(&PtrField<Big, McasWord>)) {}
+    }
+
+    fn is_pooled<T: Links<McasWord>>(n: &Local<T, McasWord>) -> bool {
+        // Safety: the counted `n` keeps its object alive.
+        unsafe { (*Local::option_as_ptr(Some(n))).pooled }
+    }
+
     #[test]
     fn backends_agree_on_census_accounting() {
-        for backend in [Backend::Pooled, Backend::Global] {
-            let heap: Heap<Node, McasWord> = Heap::with_backend(backend);
-            assert_eq!(heap.backend(), backend);
-            let nodes: Vec<_> = (0..100)
-                .map(|id| {
-                    heap.alloc(Node {
-                        id,
-                        next: PtrField::null(),
-                    })
+        let small: Heap<Node, McasWord> = Heap::new();
+        let nodes: Vec<_> = (0..100)
+            .map(|id| {
+                small.alloc(Node {
+                    id,
+                    next: PtrField::null(),
                 })
-                .collect();
-            assert_eq!(heap.census().live(), 100, "{backend:?}");
-            drop(nodes);
-            assert_eq!(heap.census().live(), 0, "{backend:?}");
-        }
+            })
+            .collect();
+        assert_eq!(small.census().live(), 100);
+        drop(nodes);
+        assert_eq!(small.census().live(), 0);
+
+        let big: Heap<Big, McasWord> = Heap::new();
+        let nodes: Vec<_> = (0..100)
+            .map(|_| {
+                big.alloc(Big {
+                    pad: [0; lfrc_pool::MAX_ALLOC],
+                })
+            })
+            .collect();
+        assert!(!nodes.iter().any(is_pooled), "over MAX_ALLOC must be boxed");
+        assert_eq!(big.census().live(), 100);
+        drop(nodes);
+        assert_eq!(big.census().live(), 0);
         lfrc_dcas::quiesce();
     }
 
     #[test]
-    fn default_backend_draws_from_the_pool() {
-        // The dev-dependency turns `lfrc-pool/enabled` on for this
-        // crate's tests, so the default heap must place nodes in slabs.
-        assert!(lfrc_pool::enabled());
+    fn heap_draws_from_the_pool() {
         let heap: Heap<Node, McasWord> = Heap::new();
         let n = heap.alloc(Node {
             id: 0,
             next: PtrField::null(),
         });
-        let raw = Local::option_as_ptr(Some(&n));
-        assert!(unsafe { (*raw).pooled });
-        // And the explicit global backend must not.
-        let global: Heap<Node, McasWord> = Heap::with_backend(Backend::Global);
-        let g = global.alloc(Node {
-            id: 1,
-            next: PtrField::null(),
-        });
-        assert!(!unsafe { (*Local::option_as_ptr(Some(&g))).pooled });
+        assert!(is_pooled(&n));
     }
 
     #[test]
@@ -604,7 +573,7 @@ mod tests {
             id: 7,
             next: PtrField::null(),
         });
-        let pooled = unsafe { (*Local::option_as_ptr(Some(&n))).pooled };
+        let pooled = is_pooled(&n);
         drop(n);
         assert_eq!(heap.census().quarantined(), 1);
         // Safety: fully quiesced — no other thread touches this heap.

@@ -133,6 +133,7 @@ pub fn quiesce() {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn retire_box_defers_then_frees() {
@@ -146,7 +147,18 @@ mod tests {
         let before = DROPS.load(Ordering::SeqCst);
         let p = Box::into_raw(Box::new(Noisy));
         unsafe { retire_box(p) };
-        quiesce();
+        // Only this thread's own collect reaps its bag, and the pin held
+        // inside `retire_box` keeps the epoch from moving two steps past
+        // the retirement, so the drop cannot have run yet.
+        assert_eq!(DROPS.load(Ordering::SeqCst), before);
+        // `quiesce` may stop early while another test's thread is pinned,
+        // so keep driving it until the grace period has passed.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while DROPS.load(Ordering::SeqCst) == before {
+            assert!(Instant::now() < deadline, "retired box was never freed");
+            quiesce();
+            std::thread::yield_now();
+        }
         assert_eq!(DROPS.load(Ordering::SeqCst), before + 1);
     }
 

@@ -24,9 +24,9 @@
 //! Unlike [`counters`](crate::counters) and
 //! [`recorder`](crate::recorder), this module is **not** gated on the
 //! `enabled` cargo feature: schedule exploration must work in
-//! `--no-default-features` builds (that is exactly what the
-//! `pool-disabled`/`obs-disabled` CI jobs exercise), and an un-hooked
-//! yield point is already free of atomics.
+//! `--no-default-features` builds (the `obs-off` leg of CI's `test`
+//! matrix exercises exactly that), and an un-hooked yield point is
+//! already free of atomics.
 
 use std::cell::RefCell;
 

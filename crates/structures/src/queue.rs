@@ -243,26 +243,13 @@ impl<W: DcasWord> LfrcQueue<W> {
     /// Creates an empty queue (one sentinel node, rc owned by `head` and
     /// `tail`).
     pub fn new() -> Self {
-        Self::with_backend(lfrc_core::Backend::default())
-    }
-
-    /// Creates an empty queue whose nodes come from the given allocation
-    /// backend — `Pooled` (the default) or `Global`. Experiment E12
-    /// benches the two against each other.
-    pub fn with_backend(backend: lfrc_core::Backend) -> Self {
-        Self::with_backend_and_strategy(backend, Strategy::default())
+        Self::with_strategy(Strategy::default())
     }
 
     /// Creates an empty queue using the given counted-load [`Strategy`],
     /// fixed for the instance's lifetime.
     pub fn with_strategy(strategy: Strategy) -> Self {
-        Self::with_backend_and_strategy(lfrc_core::Backend::default(), strategy)
-    }
-
-    /// Creates an empty queue with both an explicit backend and an
-    /// explicit counted-load strategy.
-    pub fn with_backend_and_strategy(backend: lfrc_core::Backend, strategy: Strategy) -> Self {
-        let heap: Heap<LfrcQueueNode<W>, W> = Heap::with_backend(backend);
+        let heap: Heap<LfrcQueueNode<W>, W> = Heap::new();
         let sentinel = heap.alloc(LfrcQueueNode {
             value: 0,
             next: PtrField::null(),

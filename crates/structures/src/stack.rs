@@ -252,28 +252,15 @@ impl<W: DcasWord> Default for LfrcStack<W> {
 impl<W: DcasWord> LfrcStack<W> {
     /// Creates an empty stack.
     pub fn new() -> Self {
-        Self::with_backend(lfrc_core::Backend::default())
-    }
-
-    /// Creates an empty stack whose nodes come from the given allocation
-    /// backend — `Pooled` (the default) or `Global`. Experiment E12
-    /// benches the two against each other.
-    pub fn with_backend(backend: lfrc_core::Backend) -> Self {
-        Self::with_backend_and_strategy(backend, Strategy::default())
+        Self::with_strategy(Strategy::default())
     }
 
     /// Creates an empty stack using the given counted-load
     /// [`Strategy`], fixed for the instance's lifetime.
     pub fn with_strategy(strategy: Strategy) -> Self {
-        Self::with_backend_and_strategy(lfrc_core::Backend::default(), strategy)
-    }
-
-    /// Creates an empty stack with both an explicit backend and an
-    /// explicit counted-load strategy.
-    pub fn with_backend_and_strategy(backend: lfrc_core::Backend, strategy: Strategy) -> Self {
         LfrcStack {
             head: SharedField::null(),
-            heap: Heap::with_backend(backend),
+            heap: Heap::new(),
             strategy,
         }
     }

@@ -50,40 +50,35 @@ fn main() {
     lfrc_structures::flush_thread(gc.collector());
     footprint("after ebr flush", &lfrc, &valois, &gc);
 
-    // The same grow-then-shrink story one layer down: when the `pool`
-    // feature is on, LFRC nodes come from epoch-gated slabs, and the
-    // *slabs themselves* must follow the paper's §1 property — mapped
-    // memory returns to the OS once the burst drains, instead of
-    // plateauing like a type-stable freelist.
-    if lfrc_repro::pool::enabled() {
-        let slab = |phase: &str| {
-            let s = lfrc_repro::pool::stats();
-            println!(
-                "{phase:>18} | slabs live: {:>4} | bytes mapped: {:>9} | slabs released: {:>5}",
-                s.slabs_live, s.bytes_mapped, s.slabs_released
-            );
-        };
-        println!("\npool slab footprint over one more burst/drain cycle\n");
-        slab("quiesced");
-        for v in 0..BURST {
-            lfrc.push(v);
-        }
-        slab("burst");
-        while lfrc.pop().is_some() {}
-        lfrc_core::flush_thread();
-        lfrc_repro::dcas::quiesce();
-        lfrc_repro::pool::flush_magazines();
-        lfrc_repro::dcas::quiesce();
-        slab("drain");
+    // The same grow-then-shrink story one layer down: LFRC nodes come
+    // from epoch-gated slabs, and the *slabs themselves* must follow the
+    // paper's §1 property — mapped memory returns to the OS once the
+    // burst drains, instead of plateauing like a type-stable freelist.
+    let slab = |phase: &str| {
+        let s = lfrc_repro::pool::stats();
+        println!(
+            "{phase:>18} | slabs live: {:>4} | bytes mapped: {:>9} | slabs released: {:>5}",
+            s.slabs_live, s.bytes_mapped, s.slabs_released
+        );
+    };
+    println!("\npool slab footprint over one more burst/drain cycle\n");
+    slab("quiesced");
+    for v in 0..BURST {
+        lfrc.push(v);
     }
+    slab("burst");
+    while lfrc.pop().is_some() {}
+    lfrc_core::flush_thread();
+    lfrc_repro::dcas::quiesce();
+    lfrc_repro::pool::flush_magazines();
+    lfrc_repro::dcas::quiesce();
+    slab("drain");
 
     println!(
         "\nreading the columns:\n\
          * lfrc   — returns to 0 after every drain: once the thread's\n\
-           decrement buffer flushes, nodes go back to the allocator —\n\
-           the slab pool when the `pool` feature is on (whose slabs\n\
-           are themselves released, see the slab table), else the\n\
-           general allocator.\n\
+           decrement buffer flushes, nodes go back to the slab pool,\n\
+           whose slabs are themselves released (see the slab table).\n\
          * valois — plateaus at the high-water mark forever: type-stable\n\
            freelist memory can never be reused for anything else (the\n\
            cost of making CAS-only counting safe).\n\

@@ -17,16 +17,9 @@ for exp in exp1_ops exp2_deque exp3_memory exp4_stall exp5_aba \
     echo
 done
 
-# E12 compares builds, so it runs through `cargo bench` twice rather
-# than a table binary: once with the pool (default) and once without.
+# E12 runs through `cargo bench` rather than a table binary.
 echo "=== e12_pool ==="
-{
-    echo "== pool on (default features) =="
-    cargo bench -q -p lfrc-bench --bench e12_pool
-    echo
-    echo "== pool off (--no-default-features --features obs) =="
-    cargo bench -q -p lfrc-bench --bench e12_pool --no-default-features --features obs
-} | tee "$out/e12_pool_regen.txt"
+cargo bench -q -p lfrc-bench --bench e12_pool | tee "$out/e12_pool_regen.txt"
 
 # E17 is two-part: the shard-count × skew sweep and batch-amortization
 # tables come from the bench, then the sustained soak (>= 60s, paced)

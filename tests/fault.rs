@@ -31,8 +31,6 @@ use lfrc_repro::core::{
     flush_thread, DcasWord, Heap, Links, LockWord, McasWord, PtrField, SharedField,
 };
 use lfrc_repro::deque::{ConcurrentDeque, LfrcSnarkRepaired};
-#[cfg(feature = "inject")]
-use lfrc_repro::pool;
 use lfrc_sched::shrink::{
     artifact_dir, run_verdict, shrink_decisions, shrink_failure, Counterexample,
 };
@@ -566,9 +564,7 @@ mod oom {
         flush_thread();
         assert_eq!(census.live(), 0);
         assert_eq!(census.rc_on_freed(), 0);
-        if pool::enabled() {
-            assert!(trace.oom_refusals >= 5, "pooled path was never consulted");
-        }
+        assert!(trace.oom_refusals >= 5, "pooled path was never consulted");
     }
 
     /// Both the pooled path and the global fallback refused → the error
@@ -653,9 +649,6 @@ mod oom {
     /// allocation.
     #[test]
     fn pool_refill_oom_falls_back_to_global() {
-        if !pool::enabled() {
-            return;
-        }
         // A size class of its own, so the magazine is cold and the first
         // allocation must attempt a refill.
         struct RefillNode {

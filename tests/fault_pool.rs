@@ -145,9 +145,6 @@ fn pool_round<const PAD: usize>(policy: &Policy, plan: FaultPlan) -> Observed {
 
 #[test]
 fn crash_sweep_pool_sites() {
-    if !pool::enabled() {
-        return; // pool-disabled configuration: the sites cannot fire
-    }
     // The churn thread owns 25 fat nodes plus the reader's seedling;
     // dying before its flush strands all of them — hence the bound of 26.
     crash_sweep(&[InstrSite::PoolMagazineHit], 2, 48, 26, pool_round::<2498>);

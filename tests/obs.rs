@@ -127,7 +127,7 @@ fn recorded_runner_exports_phase_snapshots() {
 #[test]
 fn pool_counters_flow_into_exports() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    if !(obs::enabled() && lfrc_repro::pool::enabled()) {
+    if !obs::enabled() {
         return;
     }
     let before = Snapshot::take();

@@ -1,7 +1,8 @@
 //! Integration tests for the slab pool behind LFRC allocation
 //! (DESIGN.md §5.11): explored schedules driven through the allocator's
-//! own yield sites, magazine drain on thread exit, backend equivalence,
-//! and the slab footprint returning to baseline after churn.
+//! own yield sites, magazine drain on thread exit, equivalence of the
+//! pooled and `Box` fallback paths, and the slab footprint returning to
+//! baseline after churn.
 //!
 //! Pool statistics are process-global, so the tests that assert on
 //! deltas serialize on [`SERIAL`]; other test binaries are separate
@@ -11,7 +12,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use lfrc_repro::core::{defer_destroy, flush_thread, Backend, Heap, Links, PtrField, SharedField};
+use lfrc_repro::core::{defer_destroy, flush_thread, Heap, Links, PtrField, SharedField};
 use lfrc_repro::dcas::McasWord;
 use lfrc_repro::pool;
 use lfrc_sched::{Policy, Schedule};
@@ -74,9 +75,6 @@ impl Links<McasWord> for ShrinkNode {
 /// interleaving may touch a freed object's reference count.
 #[test]
 fn explored_schedules_cover_pool_sites_without_canary_hits() {
-    if !pool::enabled() {
-        return; // pool-disabled configuration: nothing to explore
-    }
     let _guard = serial();
     let mut seen: HashSet<&'static str> = HashSet::new();
     for seed in 0..24u64 {
@@ -157,9 +155,6 @@ fn explored_schedules_cover_pool_sites_without_canary_hits() {
 /// memory is released through the epoch domain.
 #[test]
 fn thread_exit_drains_magazines_and_releases_slabs() {
-    if !pool::enabled() {
-        return;
-    }
     let _guard = serial();
     let base = pool::stats();
     let heap: Heap<ExitNode, McasWord> = Heap::new();
@@ -187,28 +182,45 @@ fn thread_exit_drains_magazines_and_releases_slabs() {
     );
 }
 
-/// The pooled and global backends are observationally equivalent through
-/// the census — same alloc/free accounting for the same program.
+/// Too big for any pool size class, so every node gets its own `Box`
+/// from the global allocator.
+struct BigNode {
+    _pad: [u8; pool::MAX_ALLOC],
+}
+impl Links<McasWord> for BigNode {
+    fn for_each_link(&self, _f: &mut dyn FnMut(&PtrField<Self, McasWord>)) {}
+}
+
+/// Churns 200 nodes through a shared field and checks the census
+/// accounting on teardown.
+fn churn_through_census<T: Links<McasWord>>(label: &str, mut node: impl FnMut() -> T) {
+    let heap: Heap<T, McasWord> = Heap::new();
+    let census = Arc::clone(heap.census());
+    let shared: SharedField<T, McasWord> = SharedField::null();
+    for _ in 0..200 {
+        let n = heap.alloc(node());
+        shared.store(Some(&n));
+        drop(n);
+    }
+    shared.store(None);
+    flush_thread();
+    assert_eq!(census.allocs(), 200, "{label}");
+    assert!(
+        drain_until(|| census.live() == 0),
+        "{label}: live={} after teardown",
+        census.live()
+    );
+}
+
+/// Pool slots and the per-node `Box` fallback (layouts above
+/// `pool::MAX_ALLOC`) are observationally equivalent through the census
+/// — same alloc/free accounting for the same program.
 #[test]
 fn pooled_and_global_backends_agree() {
-    for backend in [Backend::Pooled, Backend::Global] {
-        let heap: Heap<ShrinkNode, McasWord> = Heap::with_backend(backend);
-        let census = Arc::clone(heap.census());
-        let shared: SharedField<ShrinkNode, McasWord> = SharedField::null();
-        for _ in 0..200 {
-            let n = heap.alloc(ShrinkNode { _pad: [0; 400] });
-            shared.store(Some(&n));
-            drop(n);
-        }
-        shared.store(None);
-        flush_thread();
-        assert_eq!(census.allocs(), 200, "{backend:?}");
-        assert!(
-            drain_until(|| census.live() == 0),
-            "{backend:?}: live={} after teardown",
-            census.live()
-        );
-    }
+    churn_through_census("pooled", || ShrinkNode { _pad: [0; 400] });
+    churn_through_census("boxed", || BigNode {
+        _pad: [0; pool::MAX_ALLOC],
+    });
 }
 
 /// Grow-then-shrink: after churning hundreds of nodes and freeing them
@@ -217,9 +229,6 @@ fn pooled_and_global_backends_agree() {
 /// slabs are eligible for retirement.
 #[test]
 fn slab_footprint_returns_near_baseline_after_churn() {
-    if !pool::enabled() {
-        return;
-    }
     let _guard = serial();
     let base = pool::stats();
     let heap: Heap<ShrinkNode, McasWord> = Heap::new();
