@@ -277,18 +277,22 @@ impl<W: DcasWord> KvStore<W> {
         })
     }
 
-    /// Total live keys across all shards (O(n); diagnostics).
+    /// Total live keys across all shards (O(n); diagnostics). Each shard
+    /// is counted by one level-0 walk that holds one pin for the whole
+    /// shard, so reclamation waits for the walk.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
     }
 
-    /// `true` when no live keys are present.
+    /// `true` when no live keys are present; each shard's walk stops at
+    /// its first live key.
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.is_empty())
     }
 
     /// Every live key, sorted (O(n log n); tests and diagnostics — this
-    /// walks each shard with an unbounded [`LfrcSkipList::scan`]).
+    /// walks each shard with an unbounded [`LfrcSkipList::scan`], which,
+    /// like [`len`](Self::len), holds one pin for the whole shard).
     pub fn keys(&self) -> Vec<u64> {
         let mut all: Vec<u64> = self
             .shards

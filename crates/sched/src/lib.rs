@@ -576,9 +576,11 @@ fn worker(
     // would break bit-identical replay (see `Schedule::pool_sites`).
     //
     // Crash specs are checked here too: a due site visit becomes a death
-    // instead of a yield. `crashed` latches so the unwind (whose
-    // destructors cross yield points) runs as one uninterrupted — and
-    // therefore deterministic — stretch, and cannot re-crash.
+    // instead of a yield. A thread that is unwinding — from an injected
+    // crash, a step-cap overrun or any other panic — no longer yields, so
+    // the unwind (whose destructors cross yield points) runs as one
+    // uninterrupted, and therefore deterministic, stretch: it cannot
+    // re-crash, and cannot overrun the step cap again and abort.
     let my_crashes: Vec<CrashSpec> = faults
         .crashes
         .iter()
@@ -586,11 +588,10 @@ fn worker(
         .copied()
         .collect();
     let hook_shared = Arc::clone(&shared);
-    let mut crashed = false;
     let mut site_visits = [0u32; InstrSite::MAX_TAG as usize];
     let mut total_visits = 0u32;
     instrument::set_thread_hook(Some(Box::new(move |site| {
-        if crashed || (site.is_pool() && !pool_sites) {
+        if std::thread::panicking() || (site.is_pool() && !pool_sites) {
             return;
         }
         let idx = (site.tag() - 1) as usize;
@@ -606,7 +607,6 @@ fn worker(
             })
             .map(|c| c.mode);
         if let Some(mode) = due {
-            crashed = true;
             crash_thread(&hook_shared, id, site, mode);
             resume_unwind(Box::new(CrashToken));
         }
@@ -830,18 +830,43 @@ mod tests {
         assert_eq!(msg, "injected failure");
     }
 
-    #[test]
-    fn step_cap_turns_livelock_into_failure() {
-        let bodies: Vec<Body<'static>> = vec![Box::new(|| loop {
-            instrument::yield_point(InstrSite::LockSpin);
-        })];
+    /// Runs `body` alone under a 500-step cap; returns its failure message.
+    fn capped_failure(body: Body<'static>) -> String {
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
             Schedule::new()
                 .max_steps(500)
-                .run(&Policy::Random(0), bodies);
+                .run(&Policy::Random(0), vec![body]);
         }))
         .unwrap_err();
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn step_cap_turns_livelock_into_failure() {
+        let msg = capped_failure(Box::new(|| loop {
+            instrument::yield_point(InstrSite::LockSpin);
+        }));
+        assert!(msg.contains("step cap"), "got: {msg}");
+    }
+
+    /// A step-cap overrun fails its own run even when the unwind it
+    /// starts crosses yield points: the unwinding thread stops yielding,
+    /// so the cap cannot fire again inside a destructor and abort the
+    /// process.
+    #[test]
+    fn step_cap_overrun_unwinds_through_yielding_destructors() {
+        struct YieldOnDrop;
+        impl Drop for YieldOnDrop {
+            fn drop(&mut self) {
+                instrument::yield_point(InstrSite::LockSpin);
+            }
+        }
+        let msg = capped_failure(Box::new(|| {
+            let _guard = YieldOnDrop;
+            loop {
+                instrument::yield_point(InstrSite::LockSpin);
+            }
+        }));
         assert!(msg.contains("step cap"), "got: {msg}");
     }
 

@@ -17,18 +17,19 @@
 //! * `remove` — one descent, CAS the mark (linearization point), then
 //!   unlink each level through the saved preds; if an unlink fails, one
 //!   more descent helps finish it;
-//! * `contains` — top-down descent whose load protocol follows the
-//!   instance [`Strategy`]: the §5.9 deferred fast path (plain loads
-//!   under a pin, rc-validated) for `DeferredDec`, and
-//!   [`contains_counted`](LfrcSkipList::contains_counted) — one
-//!   `LFRCLoad` DCAS per hop — for `Dcas`.
+//! * `contains` — one descent that never helps unlink and stops at the
+//!   first level holding the key;
+//! * `scan`, `len`, `is_empty` — that descent to the first key, then a
+//!   level-0 walk that resumes after the last key it passed when a link
+//!   reads null.
 //!
-//! Writers make one descent per operation, inside one
-//! [`defer::pinned`] scope. Under `DeferredDec` its hops are uncounted
-//! `load_deferred` reads, validated as in `contains_deferred`, and a
-//! writer promotes only the nodes it links through (DESIGN.md §5.9,
-//! "Writers on the fast path"). Under `Dcas` the same `insert` and
-//! `remove` run over counted `LFRCLoad` hops: the executable spec.
+//! Every operation runs inside one [`defer::pinned`] scope, and its hops
+//! follow the instance [`Strategy`]. Under `DeferredDec` they are
+//! uncounted `load_deferred` reads: a null link restarts the read, a
+//! node is trusted only while its count reads nonzero, and a writer
+//! promotes only the nodes it links through (DESIGN.md §5.9, "Writers on
+//! the fast path"). Under `Dcas` the same code runs over counted
+//! `LFRCLoad` hops: the executable spec.
 //!
 //! Garbage stays cycle-free: all tower pointers aim forward (toward
 //! larger keys), so step 3 of the methodology holds untouched.
@@ -244,11 +245,10 @@ impl<W: DcasWord> Default for LfrcSkipList<W> {
 type NodeRef<W> = Local<SkipNode<W>, W>;
 type NodePtr<W> = *mut LfrcBox<SkipNode<W>, W>;
 
-/// How a writer's descent holds the nodes it passes: a counted `Local`
-/// per hop (the `Dcas` spec, one `LFRCLoad` each) or an uncounted
-/// `Borrowed` per hop (the `DeferredDec` fast path, one plain load each,
-/// with only the nodes a writer links through counted by
-/// [`Hop::counted`]).
+/// How a descent holds the nodes it passes: a counted `Local` per hop
+/// (the `Dcas` spec, one `LFRCLoad` each) or an uncounted `Borrowed` per
+/// hop (the `DeferredDec` fast path, one plain load each, with only the
+/// nodes a writer links through counted by [`Hop::counted`]).
 trait Hop<'p, W: DcasWord>: Deref<Target = SkipNode<W>> + Clone {
     /// Reads a link; `None` is null.
     fn read(field: &PtrField<SkipNode<W>, W>, pin: &'p Pin) -> Option<Self>;
@@ -572,174 +572,114 @@ impl<W: DcasWord> LfrcSkipList<W> {
         }
     }
 
-    /// Membership test, dispatching on the instance [`Strategy`]:
-    ///
-    /// * `Dcas` → [`contains_counted`](Self::contains_counted) (one
-    ///   `LFRCLoad` DCAS per hop, the paper-faithful baseline);
-    /// * `DeferredDec` → the §5.9 uncounted fast path (plain loads,
-    ///   rc-validated, restart on suspicion).
-    pub fn contains(&self, key: u64) -> bool {
-        match self.strategy {
-            Strategy::Dcas => self.contains_counted(key),
-            Strategy::DeferredDec => self.contains_deferred(key),
-        }
-    }
-
-    /// Membership test — the deferred fast path (DESIGN.md §5.9).
-    ///
-    /// The whole traversal runs inside one [`defer::pinned`] scope with
-    /// **plain pointer loads**: no DCAS, no count traffic per hop — versus
-    /// one `LFRCLoad` DCAS per hop for [`contains_counted`]. A hop may
-    /// land on a node that was concurrently freed (the pin keeps its
-    /// memory mapped); soundness comes from validation, not counts:
-    ///
-    /// * a null link may be a harvested field on a freed node — reading a
-    ///   nonzero [`Borrowed::ref_count`] *after* the read proves the null
-    ///   was genuine, otherwise restart;
-    /// * at a key match, a nonzero count after the match proves `curr`
-    ///   was a real, reachable node when its key was read.
-    ///
-    /// Keys are immutable payload (readable even on a freed node), so the
-    /// comparisons in between need no validation of their own.
-    pub fn contains_deferred(&self, key: u64) -> bool {
-        let ekey = encode_key(key);
-        defer::pinned(|pin| 'restart: loop {
-            let Some(mut pred) = self.head.load_deferred(pin) else {
-                return false; // only during teardown
-            };
+    /// One top-down descent toward `ekey` (encoded) that never helps
+    /// unlink: the node holding `ekey` at the first level that has one,
+    /// else the first node with key `> ekey` at level 0 (the tail at the
+    /// latest). A null link restarts the descent, as in [`find`](Self::find).
+    fn seek<'p, H: Hop<'p, W>>(&self, ekey: u64, pin: &'p Pin) -> H {
+        'restart: loop {
+            let mut pred = H::read(&self.head, pin).expect("head sentinel");
             for lvl in (0..MAX_HEIGHT).rev() {
-                let mut curr = match pred.next[lvl].load_deferred(pin) {
-                    Some(c) => c,
-                    None => {
-                        if Borrowed::ref_count(&pred) == 0 {
-                            continue 'restart; // harvested, not "level empty"
-                        }
-                        continue;
-                    }
+                let Some(mut curr) = H::read(&pred.next[lvl], pin) else {
+                    continue 'restart;
                 };
                 while curr.key < ekey {
-                    let next = match curr.next[lvl].load_deferred(pin) {
-                        Some(n) => n,
-                        None => {
-                            if Borrowed::ref_count(&curr) == 0 {
-                                continue 'restart;
-                            }
-                            break;
-                        }
+                    let Some(next) = H::read(&curr.next[lvl], pin) else {
+                        continue 'restart;
                     };
                     pred = curr;
                     curr = next;
                 }
-                if curr.key == ekey {
-                    if Borrowed::ref_count(&curr) == 0 {
-                        continue 'restart; // freed under us; re-traverse
-                    }
-                    return curr.marked.load() == 0;
+                if curr.key == ekey || lvl == 0 {
+                    return curr;
                 }
             }
-            return false;
+        }
+    }
+
+    /// Hands the live keys `>= ekey` (encoded) to `visit` in ascending
+    /// order along level 0, until `visit` returns `false` or the walk
+    /// reaches the tail. A node is reported only if it reads unmarked
+    /// and then alive. A null link means the node it was read from died;
+    /// the walk then seeks again just past the last key it passed, so it
+    /// never reports a key twice.
+    fn walk<'p, H: Hop<'p, W>>(&self, ekey: u64, pin: &'p Pin, mut visit: impl FnMut(u64) -> bool) {
+        let mut curr = self.seek::<H>(ekey, pin);
+        while curr.key != TAIL_KEY {
+            if curr.marked.load() == 0 && curr.alive() && !visit(curr.key - 1) {
+                return;
+            }
+            curr = match H::read(&curr.next[0], pin) {
+                Some(next) => next,
+                None => self.seek::<H>(curr.key + 1, pin),
+            };
+        }
+    }
+
+    /// Runs [`walk`](Self::walk) from `ekey` under one pin, with the
+    /// instance [`Strategy`]'s hops.
+    fn walk_from(&self, ekey: u64, visit: impl FnMut(u64) -> bool) {
+        defer::pinned(|pin| match self.strategy {
+            Strategy::Dcas => self.walk::<NodeRef<W>>(ekey, pin, visit),
+            Strategy::DeferredDec => self.walk::<Borrowed<'_, SkipNode<W>, W>>(ekey, pin, visit),
         })
     }
 
-    /// Membership test via counted loads (`LFRCLoad` per hop) — the
-    /// baseline the deferred paths are measured against in experiment
-    /// E10.
-    pub fn contains_counted(&self, key: u64) -> bool {
+    /// Membership test: one non-helping descent under the instance
+    /// [`Strategy`]; the key is present if its node reads unmarked and
+    /// then alive.
+    pub fn contains(&self, key: u64) -> bool {
         let ekey = encode_key(key);
-        let mut pred = self.head.load().expect("head sentinel");
-        for lvl in (0..MAX_HEIGHT).rev() {
-            let mut curr = match pred.next[lvl].load() {
-                Some(c) => c,
-                None => continue,
-            };
-            while curr.key < ekey {
-                let next = match curr.next[lvl].load() {
-                    Some(n) => n,
-                    None => break,
-                };
-                pred = curr;
-                curr = next;
-            }
-            if curr.key == ekey {
-                return curr.marked.load() == 0;
-            }
-        }
-        false
+        defer::pinned(|pin| match self.strategy {
+            Strategy::Dcas => self.contains_in::<NodeRef<W>>(ekey, pin),
+            Strategy::DeferredDec => self.contains_in::<Borrowed<'_, SkipNode<W>, W>>(ekey, pin),
+        })
+    }
+
+    fn contains_in<'p, H: Hop<'p, W>>(&self, ekey: u64, pin: &'p Pin) -> bool {
+        let node = self.seek::<H>(ekey, pin);
+        node.key == ekey && node.marked.load() == 0 && node.alive()
     }
 
     /// Bounded ascending range scan: up to `limit` live keys `>= start`,
-    /// in key order.
+    /// in key order, from one level-0 walk under the instance
+    /// [`Strategy`].
     ///
-    /// The descent and the level-0 walk both use **counted** loads
-    /// (`LFRCLoad` DCAS per hop), which are sound under every
-    /// [`Strategy`] — each hop holds a real count on the node it visits,
-    /// so a concurrent remove can unlink but never free a node mid-walk.
     /// The scan is not an atomic snapshot: each returned key was live at
-    /// the moment its node was inspected, which is the usual guarantee
-    /// for lock-free range queries (keys inserted or removed while the
-    /// walk passes them may or may not appear).
+    /// the moment its node was inspected, and a key present for the
+    /// whole scan is never skipped. Keys inserted or removed while the
+    /// walk passes them may or may not appear, which is the usual
+    /// guarantee for lock-free range queries.
     pub fn scan(&self, start: u64, limit: usize) -> Vec<u64> {
-        if limit == 0 {
-            return Vec::new();
-        }
-        let estart = encode_key(start);
-        // Counted top-down descent (as in `contains_counted`) to reach
-        // the last node with key < estart without walking the full list.
-        let mut pred = self.head.load().expect("head sentinel");
-        for lvl in (0..MAX_HEIGHT).rev() {
-            let mut curr = match pred.next[lvl].load() {
-                Some(c) => c,
-                None => continue,
-            };
-            while curr.key < estart {
-                let next = match curr.next[lvl].load() {
-                    Some(n) => n,
-                    None => break,
-                };
-                pred = curr;
-                curr = next;
-            }
-        }
-        // Level-0 walk from pred, collecting live in-range keys.
         let mut out = Vec::with_capacity(limit.min(64));
-        let mut curr = pred;
-        loop {
-            let next = match curr.next[0].load() {
-                Some(n) => n,
-                None => break,
-            };
-            if next.key == TAIL_KEY {
-                break;
-            }
-            if next.key >= estart && next.marked.load() == 0 {
-                out.push(next.key - 1); // decode
-                if out.len() == limit {
-                    break;
-                }
-            }
-            curr = next;
+        if limit > 0 {
+            self.walk_from(encode_key(start), |k| {
+                out.push(k);
+                out.len() < limit
+            });
         }
         out
     }
 
-    /// Number of live keys (O(n) level-0 walk; diagnostics).
+    /// Number of live keys (one O(n) level-0 walk under one pin;
+    /// diagnostics).
     pub fn len(&self) -> usize {
         let mut n = 0;
-        let mut curr = self.head.load().expect("head sentinel");
-        loop {
-            let next = curr.next[0].load();
-            let Some(next) = next else { break };
-            if next.key != TAIL_KEY && next.marked.load() == 0 {
-                n += 1;
-            }
-            curr = next;
-        }
+        self.walk_from(encode_key(0), |_| {
+            n += 1;
+            true
+        });
         n
     }
 
-    /// `true` if no live keys are present.
+    /// `true` if no live keys are present; stops at the first live key.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let mut empty = true;
+        self.walk_from(encode_key(0), |_| {
+            empty = false;
+            false
+        });
+        empty
     }
 }
 
@@ -862,20 +802,29 @@ mod tests {
         assert_eq!(s.len() as u64, net.load(Ordering::Relaxed));
     }
 
+    /// The `Dcas` spec and the `DeferredDec` fast path, empty.
+    fn spec_and_fast() -> [LfrcSkipList<McasWord>; 2] {
+        [Strategy::Dcas, Strategy::DeferredDec].map(LfrcSkipList::with_strategy)
+    }
+
     #[test]
     fn deferred_and_counted_contains_agree() {
-        let s: LfrcSkipList<McasWord> = LfrcSkipList::new();
-        for k in 0..256u64 {
-            s.insert(k);
+        let [spec, fast] = spec_and_fast();
+        for s in [&spec, &fast] {
+            for k in 0..256u64 {
+                s.insert(k);
+            }
+            for k in (0..256u64).step_by(3) {
+                s.remove(k);
+            }
         }
-        for k in (0..256u64).step_by(3) {
-            s.remove(k);
-        }
-        // Quiescent: the deferred traversal and the counted baseline must
-        // answer identically for every key.
+        // Quiescent: the counted spec and the deferred fast path, fed the
+        // same ops, must answer identically for every key and range.
         for k in 0..300u64 {
-            assert_eq!(s.contains(k), s.contains_counted(k), "key {k}");
+            assert_eq!(spec.contains(k), fast.contains(k), "key {k}");
+            assert_eq!(spec.scan(k, 5), fast.scan(k, 5), "scan from {k}");
         }
+        assert_eq!(spec.len(), fast.len());
     }
 
     #[test]
@@ -925,9 +874,9 @@ mod tests {
 
     #[test]
     fn lfrc_skiplist_every_strategy_sequential() {
-        for strategy in Strategy::ALL {
-            let s: LfrcSkipList<McasWord> = LfrcSkipList::with_strategy(strategy);
-            assert_eq!(s.strategy(), strategy);
+        let lists = spec_and_fast();
+        for s in &lists {
+            let strategy = s.strategy();
             for k in [50, 10, 90, 30, 70] {
                 assert!(s.insert(k), "{strategy}");
             }
@@ -939,13 +888,50 @@ mod tests {
             assert!(!s.contains(40), "{strategy}");
             assert!(s.remove(50), "{strategy}");
             assert!(!s.contains(50), "{strategy}");
-            // Both traversal protocols agree on a quiescent list.
-            for k in 0..100u64 {
-                assert_eq!(s.contains_counted(k), s.contains_deferred(k), "key {k}");
-            }
+        }
+        // The spec and the fast path, fed the same ops, agree.
+        let [spec, fast] = &lists;
+        assert_eq!(spec.strategy(), Strategy::Dcas);
+        for k in 0..100u64 {
+            assert_eq!(spec.contains(k), fast.contains(k), "key {k}");
+        }
+        for s in lists {
             let census = std::sync::Arc::clone(s.heap().census());
             drop(s);
             assert_census_drains(&census);
+        }
+    }
+
+    /// A walk standing on a node that dies under it reads a null link
+    /// and resumes just past that node's key: it neither stops early nor
+    /// repeats a key. Under `DeferredDec` the walk's hop holds no count,
+    /// so removing the node and flushing the parked decrements harvests
+    /// it mid-walk; under `Dcas` the hop's own count keeps it alive.
+    #[test]
+    fn walk_resumes_past_a_node_harvested_under_it() {
+        type Borrow<'p> = Borrowed<'p, SkipNode<McasWord>, McasWord>;
+        for s in spec_and_fast() {
+            for k in 1..=5 {
+                s.insert(k);
+            }
+            // The premise: removing a node that only a borrow holds
+            // harvests it, so the borrow's links read null.
+            defer::pinned(|pin| {
+                let node = s.seek::<Borrow<'_>>(encode_key(2), pin);
+                assert!(s.remove(2));
+                defer::flush_thread();
+                assert!(node.next[0].load_deferred(pin).is_none(), "not harvested");
+            });
+            let mut seen = Vec::new();
+            s.walk_from(encode_key(0), |k| {
+                if k == 3 {
+                    assert!(s.remove(3));
+                    defer::flush_thread();
+                }
+                seen.push(k);
+                true
+            });
+            assert_eq!(seen, [1, 3, 4, 5], "{}", s.strategy());
         }
     }
 

@@ -27,6 +27,12 @@
 //! borrowed reads and promote what they link through (DESIGN.md §5.9),
 //! so these races must also reach a failed promote and its restart,
 //! and survive a writer crashing at the promote site.
+//!
+//! A third family checks `scan` against its weak spec: a scanner walks a
+//! 1-shard store while two writers churn keys between stable keys that
+//! stay present throughout. Every key a scan returns must be one the
+//! store could hold, in strictly ascending order, and no stable key in
+//! the range the scan vouches for may be missing.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -500,6 +506,158 @@ fn kv_same_key_crash_plans_at_promote_site() {
         println!(
             "BorrowPromote / {mode:?}: {fired} of {} rounds crashed",
             24 * THREADS
+        );
+    }
+}
+
+/// Keys present before, during and after every scan round.
+const SCAN_STABLE: [u64; 3] = [2, 5, 8];
+
+/// Every key the scan round's writers touch, interleaved with
+/// [`SCAN_STABLE`] so that a walk passes churned nodes between any two
+/// stable ones.
+const SCAN_CHURNED: [u64; 6] = [1, 3, 4, 6, 7, 9];
+
+/// Churned keys present before the racing bodies start.
+const SCAN_CHURNED_INITIAL: [u64; 2] = [3, 6];
+
+/// Each writer's program over [`SCAN_CHURNED`]: `true` puts, `false`
+/// deletes.
+const SCAN_PROGRAMS: [[(bool, u64); 4]; THREADS] = [
+    [(false, 3), (true, 4), (true, 7), (false, 4)],
+    [(true, 1), (false, 6), (true, 3), (true, 9)],
+];
+
+/// The scanner's calls, as `(start, limit)`: one unbounded, one bounded.
+const SCANS: [(u64, usize); 2] = [(0, usize::MAX), (3, 3)];
+
+/// Outcome of one scheduled scan round.
+struct ScanRound {
+    trace: Trace,
+    /// Each scan's `(start, limit)` and what it returned.
+    scans: Vec<(u64, usize, Vec<u64>)>,
+    leaked: u64,
+    rc_on_freed: u64,
+}
+
+/// One scanner racing [`SCAN_PROGRAMS`] on a 1-shard store.
+fn scan_race(strategy: Strategy, policy: &Policy) -> ScanRound {
+    let kv: KvStore<McasWord> = KvStore::with_config(KvConfig {
+        shards: 1,
+        strategy,
+    });
+    for k in SCAN_STABLE.into_iter().chain(SCAN_CHURNED_INITIAL) {
+        assert!(kv.put(k));
+    }
+    let scans = Mutex::new(Vec::new());
+    let trace = {
+        let (kv, scans) = (&kv, &scans);
+        let mut bodies: Vec<Body<'_>> = SCAN_PROGRAMS
+            .iter()
+            .map(|program| {
+                let body: Body<'_> = Box::new(move || {
+                    for &(put, k) in program {
+                        if put {
+                            kv.put(k);
+                        } else {
+                            kv.delete(k);
+                        }
+                    }
+                    flush_thread();
+                });
+                body
+            })
+            .collect();
+        bodies.push(Box::new(move || {
+            for (start, limit) in SCANS {
+                let got = kv.scan(start, limit);
+                scans.lock().unwrap().push((start, limit, got));
+            }
+            flush_thread();
+        }));
+        Schedule::new().run(policy, bodies)
+    };
+    let census = Arc::clone(kv.shard(0).heap().census());
+    drop(kv);
+    flush_thread();
+    let leaked = drain_censuses(std::slice::from_ref(&census));
+    ScanRound {
+        trace,
+        scans: scans.into_inner().unwrap(),
+        leaked,
+        rc_on_freed: census.rc_on_freed(),
+    }
+}
+
+/// Why `got`, returned by `scan(start, limit)` during a scan round,
+/// breaks scan's weak spec, if it does.
+fn scan_violation(start: u64, limit: usize, got: &[u64]) -> Option<String> {
+    if got.len() > limit {
+        return Some(format!("{} keys exceed the limit {limit}", got.len()));
+    }
+    if !got.windows(2).all(|w| w[0] < w[1]) {
+        return Some("keys are not strictly ascending".into());
+    }
+    if let Some(k) = got
+        .iter()
+        .find(|&&k| k < start || !(SCAN_STABLE.contains(&k) || SCAN_CHURNED.contains(&k)))
+    {
+        return Some(format!("key {k} was never in range and in the store"));
+    }
+    // A full result vouches for the stable keys up to its last key; a
+    // short one for every stable key from `start` on.
+    let upto = if got.len() < limit {
+        u64::MAX
+    } else {
+        got[got.len() - 1]
+    };
+    let missing: Vec<u64> = SCAN_STABLE
+        .into_iter()
+        .filter(|&k| (start..=upto).contains(&k) && !got.contains(&k))
+        .collect();
+    if !missing.is_empty() {
+        return Some(format!("stable keys {missing:?} are missing"));
+    }
+    None
+}
+
+/// Scans under explored schedules, under every strategy: ≥2 000 distinct
+/// schedules each of one scanner (an unbounded and a bounded scan)
+/// racing two writers that churn the keys around three stable ones.
+/// Every scan must keep its weak spec ([`scan_violation`]), and every
+/// round must leave no leak and no rc update on a freed object.
+///
+/// Holds [`SERIAL`], like every test in this binary that writes to a
+/// skip list.
+#[test]
+fn kv_scan_weak_spec_under_every_strategy() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const TARGET: usize = 2_000;
+    for strategy in Strategy::ALL {
+        let mut hashes = HashSet::new();
+        let mut seed = 0u64;
+        while hashes.len() < TARGET {
+            assert!(
+                seed < 20 * TARGET as u64,
+                "{strategy}: schedule space saturated at {} distinct schedules",
+                hashes.len()
+            );
+            let round = scan_race(strategy, &Policy::Random(seed));
+            let what = format!("{strategy} — replay with LFRC_SCHED_SEED={seed}");
+            assert_eq!(round.scans.len(), SCANS.len(), "{what}: a scan did not run");
+            for (start, limit, got) in &round.scans {
+                if let Some(why) = scan_violation(*start, *limit, got) {
+                    panic!("{what}: scan({start}, {limit}) returned {got:?}: {why}");
+                }
+            }
+            assert_eq!(round.rc_on_freed, 0, "{what}: rc update on freed object");
+            assert_eq!(round.leaked, 0, "{what}: leak after flush+drain");
+            hashes.insert(round.trace.hash);
+            seed += 1;
+        }
+        println!(
+            "{strategy}: {} distinct scan schedules over {seed} seeds",
+            hashes.len()
         );
     }
 }

@@ -331,7 +331,9 @@ fn prometheus_export_carries_all_counters() {
 /// makes one uncounted descent and counts only what it links through —
 /// a pred and a succ per linked level — so it makes no `LFRCLoad` DCAS
 /// at all and about `2 × tower height` promotes per op (mean height 2 at
-/// p = 1/2). `Dcas`, the executable spec, keeps its counted hops.
+/// p = 1/2). Readers share the descent's hops: on the populated store,
+/// `scan` and `len` make no `LFRCLoad` DCAS either. `Dcas`, the
+/// executable spec, keeps its counted hops for every op.
 #[test]
 fn kv_writers_skip_counted_loads_on_fast_strategies() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -349,16 +351,35 @@ fn kv_writers_skip_counted_loads_on_fast_strategies() {
         for k in 0..KEYS {
             assert!(kv.put(k), "{strategy}: put {k}");
         }
+        let populated = Snapshot::take();
+        assert_eq!(kv.len(), KEYS as usize, "{strategy}");
+        assert_eq!(kv.scan(0, 32).len(), 32, "{strategy}");
+        let read = Snapshot::take();
         for k in 0..KEYS {
             assert!(kv.delete(k), "{strategy}: delete {k}");
         }
-        let delta = Snapshot::take().diff(&before);
-        let loads = delta.get(Counter::LoadDcasAttempt);
-        let promotes_per_op = delta.get(Counter::PromoteSuccess) as f64 / (2 * KEYS) as f64;
+        let after = Snapshot::take();
+        let (puts, reads, deletes) = (
+            populated.diff(&before),
+            read.diff(&populated),
+            after.diff(&read),
+        );
+        let read_loads = reads.get(Counter::LoadDcasAttempt);
+        let loads = puts.get(Counter::LoadDcasAttempt) + deletes.get(Counter::LoadDcasAttempt);
+        let promotes = puts.get(Counter::PromoteSuccess) + deletes.get(Counter::PromoteSuccess);
+        let promotes_per_op = promotes as f64 / (2 * KEYS) as f64;
         if strategy == Strategy::Dcas {
             assert!(loads > 0, "dcas: the spec's counted hops are gone");
+            assert!(
+                read_loads > 0,
+                "dcas: the spec's scan and len stopped counting"
+            );
         } else {
             assert_eq!(loads, 0, "{strategy}: a writer made counted LFRCLoad hops");
+            assert_eq!(
+                read_loads, 0,
+                "{strategy}: scan or len made counted LFRCLoad hops"
+            );
             assert!(
                 promotes_per_op <= 2.0 * MEAN_HEIGHT + 1.0,
                 "{strategy}: {promotes_per_op:.2} promotes per op — a writer counts more than its links"

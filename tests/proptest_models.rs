@@ -577,6 +577,12 @@ fn skiplist_matches_btreeset() {
                     SetOp::Remove(k) => assert_eq!(set.remove(k), model.remove(&k)),
                     SetOp::Contains(k) => assert_eq!(set.contains(k), model.contains(&k)),
                 }
+                // The readers after every op: a range from a random start
+                // (past the key space too), with limits from 0 up.
+                let (start, limit) = (rng.below(26), rng.below(6) as usize);
+                let want: Vec<u64> = model.range(start..).take(limit).copied().collect();
+                assert_eq!(set.scan(start, limit), want, "scan({start}, {limit})");
+                assert_eq!(set.is_empty(), model.is_empty());
             }
             assert_eq!(set.len(), model.len());
             drop(set);
